@@ -246,7 +246,7 @@ let depth_sweep ~jobs ~cache () =
     "squashes";
   let depths = [ 4; 8; 16; 24; 32; 48; 64; 96; 128 ] in
   let cells = List.map (fun d -> (kernel, Pipeline.prevv d)) depths in
-  let results = Experiment.sweep ?cache ~jobs cells in
+  let results, _stats = Experiment.sweep ?cache ~jobs cells in
   List.iter2
     (fun d result ->
       match result with
@@ -256,7 +256,8 @@ let depth_sweep ~jobs ~cache () =
             p.Experiment.mem_stats.Pv_dataflow.Memif.stall_full
             p.Experiment.mem_stats.Pv_dataflow.Memif.squashes
             (if p.Experiment.verified then "" else "  (NOT VERIFIED)")
-      | Error msg -> Printf.printf "%-8d infeasible: %s\n" d msg)
+      | Error e ->
+          Printf.printf "%-8d infeasible: %s\n" d e.Supervisor.last_error)
     depths results;
   let t_org = 10.0 and p_s = 0.02 and t_token = 60.0 in
   Printf.printf

@@ -436,7 +436,7 @@ let sweep_cmd =
       List.concat_map (fun k -> List.map (fun d -> (k, d)) schemes) kernels
     in
     let m = if metrics then Some (Pv_obs.Metrics.create ()) else None in
-    let results = Experiment.sweep ?cache ?metrics:m ~jobs cells in
+    let results, _stats = Experiment.sweep ?cache ?metrics:m ~jobs cells in
     if json then (
       print_string "[\n";
       let n = List.length cells in
@@ -445,9 +445,10 @@ let sweep_cmd =
           let body =
             match result with
             | Ok p -> Experiment.point_to_json p
-            | Error msg ->
+            | Error e ->
                 Printf.sprintf "{ \"kernel\": %S, \"config\": %S, \"error\": %S }"
-                  kernel.Pv_kernels.Ast.name (Pipeline.name_of dis) msg
+                  kernel.Pv_kernels.Ast.name (Pipeline.name_of dis)
+                  e.Supervisor.last_error
           in
           Printf.printf "  %s%s\n" body (if i = n - 1 then "" else ","))
         (List.combine cells results);
@@ -466,9 +467,10 @@ let sweep_cmd =
                 p.Experiment.report.Pv_resource.Report.cp_ns
                 p.Experiment.cycles p.Experiment.exec_us
                 (if p.Experiment.verified then "" else "  NOT VERIFIED")
-          | Error msg ->
+          | Error e ->
               Printf.printf "%-14s %-12s infeasible: %s\n"
-                kernel.Pv_kernels.Ast.name (Pipeline.name_of dis) msg)
+                kernel.Pv_kernels.Ast.name (Pipeline.name_of dis)
+                e.Supervisor.last_error)
         cells results);
     (* stats go to stderr so --json output stays a clean document *)
     (match cache with

@@ -100,97 +100,25 @@ let run_cached ?sim_cfg ?init ~cache kernel dis : point * [ `Hit | `Miss ] =
 (* Sweep driver                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_point ?sim_cfg ?cache (kernel, dis) =
-  match cache with
-  | None -> run ?sim_cfg kernel dis
-  | Some cache -> fst (run_cached ?sim_cfg ~cache kernel dis)
-
-(** Fan a list of (kernel, scheme) cells across [jobs] worker domains
-    (serially for [jobs <= 1]), in cell order.  Infeasible configurations
-    (a queue depth below one iteration's operation count) come back as
-    [Error msg] instead of aborting the whole sweep.  Workers only
-    compute; any printing belongs to the caller, after the sweep.
-
-    [metrics] (optional) aggregates the sweep: every point's own snapshot
-    is absorbed (deterministic), plus [runner.*] telemetry — point/error
-    counts and a cycles histogram (deterministic), and cache-hit deltas,
-    effective job count and a per-worker load histogram (runtime-dependent
-    by nature; strip the [runner.] prefix when comparing runs). *)
-let sweep ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
-    (point, string) result list =
-  let hits0, misses0 =
-    match cache with
-    | Some c -> (Parallel.Cache.hits c, Parallel.Cache.misses c)
-    | None -> (0, 0)
-  in
-  let f cell =
-    match run_point ?sim_cfg ?cache cell with
-    | p -> Ok p
-    | exception Invalid_argument msg -> Error msg
-    | exception e -> Error (Printexc.to_string e)
-  in
-  (* same execution shape as Parallel.map, but over an explicit pool so
-     the per-worker tallies survive for the telemetry below *)
-  let ej = Parallel.effective_jobs jobs in
-  let serial = ej <= 1 || List.compare_length_with cells 2 < 0 in
-  let results, used_jobs, workers =
-    if serial then (List.map f cells, 1, [ List.length cells ])
-    else begin
-      let n = min ej (List.length cells) in
-      let pool = Parallel.create ~jobs:n in
-      let rs =
-        Fun.protect
-          ~finally:(fun () -> Parallel.shutdown pool)
-          (fun () -> Parallel.map_pool pool f cells)
-      in
-      (rs, n, Parallel.worker_jobs pool)
-    end
-  in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      let module M = Pv_obs.Metrics in
-      List.iter
-        (function
-          | Ok p ->
-              M.incr m "runner.points";
-              M.observe m "runner.point_cycles" p.cycles;
-              M.absorb m p.metrics
-          | Error _ -> M.incr m "runner.errors")
-        results;
-      M.set_gauge_max m "runner.jobs_effective" used_jobs;
-      List.iter (fun n -> M.observe m "runner.worker_jobs" n) workers;
-      (match cache with
-      | Some c ->
-          M.add m "runner.cache_hits" (Parallel.Cache.hits c - hits0);
-          M.add m "runner.cache_misses" (Parallel.Cache.misses c - misses0)
-      | None -> ()));
-  results
-
-(* ------------------------------------------------------------------ *)
-(* Supervised sweep                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** [run_checked] is {!run} with every failure mode folded into a
-    deterministic [Error] string instead of an exception. *)
-let run_checked ?sim_cfg ?init kernel dis : (point, string) result =
-  match run ?sim_cfg ?init kernel dis with
-  | p -> Ok p
-  | exception Invalid_argument msg -> Error msg
-  | exception Pv_dataflow.Sim.Cancelled { at_cycle } ->
-      Error (Printf.sprintf "cancelled at cycle %d" at_cycle)
-  | exception e -> Error (Printexc.to_string e)
-
 let cell_label (kernel, dis) =
   kernel.Pv_kernels.Ast.name ^ "/" ^ Pipeline.name_of dis
 
-(** {!sweep} under {!Supervisor.run_tasks}: each cell runs with a fresh
-    cancellation token wired into the simulator's [cancel] hook, crashes
-    and deadline overruns are retried per [policy], and the exhausted
-    cells come back as structured {!Supervisor.task_error}s.  The token
-    never enters {!cache_key}, so supervised and bare sweeps share cache
-    entries. *)
-let sweep_supervised ?policy ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
+(** Fan (kernel, scheme) cells across [jobs] worker domains under
+    {!Supervisor.run_tasks}, in cell order.  Each cell runs with a fresh
+    cancellation token wired into the simulator's [cancel] hook; crashes
+    and deadline overruns are retried per [policy], and cells that
+    exhaust the budget (or are infeasible) come back as structured
+    {!Supervisor.task_error}s while the rest of the grid completes.  The
+    token never enters {!cache_key}.  Workers only compute; any printing
+    belongs to the caller, after the sweep.
+
+    [metrics] (optional) aggregates the sweep: every point's own snapshot
+    is absorbed (deterministic), plus [runner.*] telemetry — point/error
+    counts and a cycles histogram (deterministic), and the supervisor's
+    counters, cache-hit deltas, effective job count and a per-worker load
+    histogram (runtime-dependent by nature; strip the [runner.] prefix
+    when comparing runs). *)
+let sweep ?policy ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
     (point, Supervisor.task_error) result list * Supervisor.stats =
   let hits0, misses0 =
     match cache with
@@ -200,7 +128,7 @@ let sweep_supervised ?policy ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
   let base =
     Option.value sim_cfg ~default:Pv_dataflow.Sim.default_config
   in
-  let f ~token cell =
+  let f ~token (kernel, dis) =
     let sim_cfg =
       {
         base with
@@ -208,7 +136,9 @@ let sweep_supervised ?policy ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
           (fun () -> Supervisor.Token.cancelled token);
       }
     in
-    run_point ~sim_cfg ?cache cell
+    match cache with
+    | None -> run ~sim_cfg kernel dis
+    | Some cache -> fst (run_cached ~sim_cfg ~cache kernel dis)
   in
   let results, stats =
     Supervisor.run_tasks ?policy ?metrics ~metrics_prefix:"runner." ~jobs
@@ -226,7 +156,6 @@ let sweep_supervised ?policy ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
               M.absorb m p.metrics
           | Error _ -> M.incr m "runner.errors")
         results;
-      M.set_gauge_max m "runner.jobs_effective" (Parallel.effective_jobs jobs);
       (match cache with
       | Some c ->
           M.add m "runner.cache_hits" (Parallel.Cache.hits c - hits0);
@@ -242,47 +171,27 @@ let paper_configs () =
     optionally across [jobs] domains and through a result cache.  The
     returned rows are identical whatever the worker count: every point is
     deterministic and is computed from private state. *)
-(* regroup a flat cell list into rows of [width] per kernel *)
-let regroup width points =
-  let rec rows = function
-    | [] -> []
-    | points ->
-        let rec split n acc rest =
-          if n = 0 then (List.rev acc, rest)
-          else
-            match rest with
-            | [] -> invalid_arg "paper_grid: ragged grid"
-            | p :: rest -> split (n - 1) (p :: acc) rest
-        in
-        let row, rest = split width [] points in
-        row :: rows rest
-  in
-  rows points
-
-(** The full grid under supervision: one row per kernel, one
-    [(point, task_error) result] per configuration.  A cell that keeps
-    failing past the retry budget occupies its grid position as a
-    structured error; every other cell still completes. *)
-let paper_grid_supervised ?policy ?sim_cfg ?cache ?metrics ?(jobs = 1) () :
-    (point, Supervisor.task_error) result list list * Supervisor.stats =
+let paper_grid ?sim_cfg ?cache ?(jobs = 1) () : point list list =
   let configs = paper_configs () in
   let kernels = Pv_kernels.Defs.paper_benchmarks () in
   let cells =
     List.concat_map (fun k -> List.map (fun d -> (k, d)) configs) kernels
   in
-  let results, stats =
-    sweep_supervised ?policy ?sim_cfg ?cache ?metrics ~jobs cells
+  let results, _stats = sweep ?sim_cfg ?cache ~jobs cells in
+  let points =
+    Array.of_list
+      (List.map
+         (function
+           | Ok p -> p
+           | Error e ->
+               failwith
+                 (Format.asprintf "paper_grid: %a" Supervisor.pp_task_error e))
+         results)
   in
-  (regroup (List.length configs) results, stats)
-
-let paper_grid ?sim_cfg ?cache ?(jobs = 1) () : point list list =
-  let rows, _stats = paper_grid_supervised ?sim_cfg ?cache ~jobs () in
-  List.map
-    (List.map (function
-      | Ok p -> p
-      | Error e ->
-          failwith (Format.asprintf "paper_grid: %a" Supervisor.pp_task_error e)))
-    rows
+  (* cells are kernel-major: row [r] holds points [r * width ..] *)
+  let width = List.length configs in
+  List.mapi (fun r _ -> Array.to_list (Array.sub points (r * width) width))
+    kernels
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

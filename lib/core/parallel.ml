@@ -7,24 +7,29 @@ let default_jobs () =
 (* Worker pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
+exception Kill_worker
+
 type pool = {
-  n : int;
   queue : (unit -> unit) Queue.t;
   lock : Mutex.t;
   nonempty : Condition.t;  (** signalled on submit and on shutdown *)
   mutable closing : bool;
-  mutable workers : unit Domain.t list;
+  mutable running : int;  (** jobs executing right now *)
+  mutable workers : unit Domain.t list;  (** spawned, not yet joined *)
+  mutable respawns : int;
   jobs_done : int array;
-      (** per-worker completed-job tallies; each worker writes only its
-          own slot, so the counts are race-free without atomics.  Exact
-          after {!shutdown}; a live read may lag by the jobs in flight. *)
+      (** per-slot completed-job tallies; a replacement worker inherits
+          the slot of the worker it replaces *)
 }
 
-let size pool = pool.n
-
 (* Workers block on [nonempty] until a job or shutdown arrives; the job
-   itself runs outside the lock so the queue stays available. *)
-let worker pool i () =
+   itself runs outside the lock so the queue stays available.  A job
+   that raises [Kill_worker] ends its worker, which first spawns its own
+   replacement into the same slot (so [shutdown] finds it to join). *)
+let rec spawn_locked pool i =
+  pool.workers <- Domain.spawn (fun () -> worker pool i) :: pool.workers
+
+and worker pool i =
   let rec next () =
     if not (Queue.is_empty pool.queue) then Some (Queue.pop pool.queue)
     else if pool.closing then None
@@ -35,94 +40,86 @@ let worker pool i () =
   let rec loop () =
     Mutex.lock pool.lock;
     let job = next () in
+    if Option.is_some job then pool.running <- pool.running + 1;
     Mutex.unlock pool.lock;
     match job with
     | None -> ()
     | Some f ->
-        f ();
-        pool.jobs_done.(i) <- pool.jobs_done.(i) + 1;
-        loop ()
+        let killed =
+          match f () with () -> false | exception Kill_worker -> true
+        in
+        Mutex.lock pool.lock;
+        pool.running <- pool.running - 1;
+        if killed then (
+          pool.respawns <- pool.respawns + 1;
+          spawn_locked pool i)
+        else pool.jobs_done.(i) <- pool.jobs_done.(i) + 1;
+        Mutex.unlock pool.lock;
+        if not killed then loop ()
   in
   loop ()
 
 let create ~jobs =
+  let n = max 1 jobs in
   let pool =
     {
-      n = max 1 jobs;
       queue = Queue.create ();
       lock = Mutex.create ();
       nonempty = Condition.create ();
       closing = false;
+      running = 0;
       workers = [];
-      jobs_done = Array.make (max 1 jobs) 0;
+      respawns = 0;
+      jobs_done = Array.make n 0;
     }
   in
-  pool.workers <- List.init pool.n (fun i -> Domain.spawn (worker pool i));
+  Mutex.lock pool.lock;
+  for i = 0 to n - 1 do
+    spawn_locked pool i
+  done;
+  Mutex.unlock pool.lock;
   pool
 
-(** Completed jobs per worker (pool-utilisation telemetry). *)
-let worker_jobs pool = Array.to_list pool.jobs_done
+let locked pool f =
+  Mutex.lock pool.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock pool.lock) f
 
+let worker_jobs pool = locked pool (fun () -> Array.to_list pool.jobs_done)
+let respawns pool = locked pool (fun () -> pool.respawns)
+let queued pool = locked pool (fun () -> Queue.length pool.queue)
+
+(* A running job may still submit while the pool drains: its own worker
+   (or that worker's replacement) comes back to the queue afterwards, so
+   the job is never stranded. *)
 let submit pool f =
   Mutex.lock pool.lock;
-  if pool.closing then (
+  if pool.closing && pool.running = 0 then (
     Mutex.unlock pool.lock;
     invalid_arg "Parallel.submit: pool is shut down");
   Queue.push f pool.queue;
   Condition.signal pool.nonempty;
   Mutex.unlock pool.lock
 
+(* Join until no worker is left: a worker killed during the drain has
+   already put its replacement on the list when the join returns. *)
 let shutdown pool =
   Mutex.lock pool.lock;
   pool.closing <- true;
   Condition.broadcast pool.nonempty;
   Mutex.unlock pool.lock;
-  List.iter Domain.join pool.workers;
-  pool.workers <- []
-
-let map_pool ?(batch = 1) pool f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs ->
-      let batch = max 1 batch in
-      let arr = Array.of_list xs in
-      let n = Array.length arr in
-      (* each slot is written by exactly one job; the lock only guards the
-         completion counter and the condition *)
-      let results = Array.make n None in
-      let lock = Mutex.create () in
-      let all_done = Condition.create () in
-      let n_batches = (n + batch - 1) / batch in
-      let pending = ref n_batches in
-      (* batched submission: one queued job covers [batch] consecutive
-         elements, amortising queue/lock traffic (and, through [map], the
-         per-job share of the pool-spawn cost) over cheap task lists *)
-      for b = 0 to n_batches - 1 do
-        let lo = b * batch in
-        let hi = min (lo + batch) n - 1 in
-        submit pool (fun () ->
-            for i = lo to hi do
-              let r =
-                match f arr.(i) with v -> Ok v | exception e -> Error e
-              in
-              results.(i) <- Some r
-            done;
-            Mutex.lock lock;
-            decr pending;
-            if !pending = 0 then Condition.signal all_done;
-            Mutex.unlock lock)
-      done;
-      Mutex.lock lock;
-      while !pending > 0 do
-        Condition.wait all_done lock
-      done;
-      Mutex.unlock lock;
-      Array.to_list results
-      |> List.map (function
-           | Some (Ok v) -> v
-           | Some (Error e) -> raise e
-           | None -> assert false)
+  let rec join_all () =
+    match
+      locked pool (fun () ->
+          let ws = pool.workers in
+          pool.workers <- [];
+          ws)
+    with
+    | [] -> ()
+    | ws ->
+        List.iter Domain.join ws;
+        join_all ()
+  in
+  join_all ()
 
 (* An explicit job request is honoured exactly: [--jobs 2] runs 2 workers
    whatever [Domain.recommended_domain_count] claims (the previous clamp to
@@ -135,18 +132,30 @@ let max_jobs = 64
 
 let effective_jobs jobs = max 1 (min jobs max_jobs)
 
-let map ?jobs ?batch f xs =
+(* Each slot is written by exactly one job; [shutdown] joins every
+   worker, which orders those writes before the reads below. *)
+let map ?jobs f xs =
   let jobs =
     effective_jobs (match jobs with Some j -> j | None -> default_jobs ())
   in
   match xs with
-  | [] -> []
   | _ when jobs <= 1 || List.compare_length_with xs 2 < 0 -> List.map f xs
   | xs ->
-      let pool = create ~jobs:(min jobs (List.length xs)) in
-      Fun.protect
-        ~finally:(fun () -> shutdown pool)
-        (fun () -> map_pool ?batch pool f xs)
+      let arr = Array.of_list xs in
+      let results = Array.make (Array.length arr) None in
+      let pool = create ~jobs:(min jobs (Array.length arr)) in
+      Array.iteri
+        (fun i x ->
+          submit pool (fun () ->
+              results.(i) <-
+                Some (match f x with v -> Ok v | exception e -> Error e)))
+        arr;
+      shutdown pool;
+      Array.to_list results
+      |> List.map (function
+           | Some (Ok v) -> v
+           | Some (Error e) -> raise e
+           | None -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* Result cache                                                        *)

@@ -7,9 +7,11 @@
     mutable state (see DESIGN.md §14 for the audit).  This module supplies
     the two pieces the drivers need:
 
-    - a fixed-size worker {!pool} (stdlib [Domain] + [Mutex]/[Condition],
-      no external dependencies) with a shared job queue and an
-      order-preserving {!map} on top;
+    - the one worker {!pool} of the program (stdlib [Domain] +
+      [Mutex]/[Condition], no external dependencies): a shared job queue
+      whose killed workers are replaced one for one, with an
+      order-preserving {!map} on top ({!Supervisor} and {!Service} run
+      on it too);
     - a {!Cache} keyed by a digest of everything that determines a result
       (kernel source, scheme configuration, simulator configuration,
       inputs), so repeated table/sweep invocations reuse prior points.
@@ -25,37 +27,38 @@ val default_jobs : unit -> int
 (** {1 Worker pool} *)
 
 type pool
-(** A fixed set of worker domains draining one shared job queue. *)
+(** A fixed number of worker domains draining one shared job queue. *)
+
+(** Raised by a job to kill its worker mid-job (chaos testing).  The pool
+    spawns exactly one replacement and does not rerun the job; rerunning
+    is {!Supervisor}'s decision. *)
+exception Kill_worker
 
 (** Spawn [jobs] worker domains (at least one). *)
 val create : jobs:int -> pool
 
-(** Number of worker domains. *)
-val size : pool -> int
-
-(** Completed jobs per worker — the pool-utilisation telemetry behind the
-    observability layer's [runner.worker_jobs] metric.  Each worker counts
-    only its own slot (race-free by construction); the counts are exact
-    after {!shutdown}, and a live read may lag by the jobs in flight. *)
-val worker_jobs : pool -> int list
-
 (** Enqueue a job.  The job runs on some worker domain; it must do its own
-    synchronisation for any shared result slot and must not print.
-    @raise Invalid_argument after {!shutdown}. *)
+    synchronisation for any shared result slot, must not print, and must
+    raise nothing but {!Kill_worker}.  Running jobs may submit, also while
+    {!shutdown} drains the pool.
+    @raise Invalid_argument once {!shutdown} has begun and no job runs. *)
 val submit : pool -> (unit -> unit) -> unit
 
-(** Stop accepting jobs, drain the queue, and join every worker.
-    Idempotent. *)
+(** Stop accepting jobs from outside, run every queued job (including the
+    ones running jobs submit meanwhile), and join every worker and
+    replacement.  Idempotent. *)
 val shutdown : pool -> unit
 
-(** [map_pool pool f xs] runs [f] on every element using the pool's
-    workers and returns the results in input order.  If any job raised,
-    the exception of the smallest-index failing element is re-raised after
-    all jobs have completed (unlike serial [List.map], later elements are
-    still evaluated).  [batch] (default 1) submits that many consecutive
-    elements per queued job, amortising queue/lock traffic over cheap
-    task lists. *)
-val map_pool : ?batch:int -> pool -> ('a -> 'b) -> 'a list -> 'b list
+(** Completed jobs per worker slot (a replacement counts on in its
+    predecessor's slot; killed jobs do not count) — the telemetry behind
+    [runner.worker_jobs].  Exact after {!shutdown}. *)
+val worker_jobs : pool -> int list
+
+(** Replacement workers spawned so far: one per {!Kill_worker}. *)
+val respawns : pool -> int
+
+(** Jobs waiting in the queue (not yet picked up by a worker). *)
+val queued : pool -> int
 
 (** Upper bound on any worker-count request (64). *)
 val max_jobs : int
@@ -68,13 +71,15 @@ val max_jobs : int
     single worker).  Only {!default_jobs} adapts to the machine. *)
 val effective_jobs : int -> int
 
-(** [map ~jobs f xs]: {!map_pool} on a transient pool of
-    [effective_jobs jobs] workers.  With an effective count of 1 (or
-    fewer than two elements) this is exactly [List.map f xs] on the
+(** [map ~jobs f xs] runs [f] on every element on a transient pool of
+    [effective_jobs jobs] workers and returns the results in input order.
+    If any job raised, the exception of the smallest-index failing element
+    is re-raised after all jobs have completed (unlike serial [List.map],
+    later elements are still evaluated).  With an effective count of 1
+    (or fewer than two elements) this is exactly [List.map f xs] on the
     calling domain — the serial reference the determinism harness
-    compares against.  [jobs] defaults to {!default_jobs}; [batch] as in
-    {!map_pool}. *)
-val map : ?jobs:int -> ?batch:int -> ('a -> 'b) -> 'a list -> 'b list
+    compares against.  [jobs] defaults to {!default_jobs}. *)
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** {1 Result cache} *)
 

@@ -135,12 +135,6 @@ let bad_line msg =
 (* Compute                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let describe_exn = function
-  | Sim.Cancelled { at_cycle } ->
-      Printf.sprintf "deadline exceeded (cancelled at cycle %d)" at_cycle
-  | Invalid_argument m -> m
-  | e -> Printexc.to_string e
-
 (* one compute attempt; raises on failure *)
 let compute cfg ~token req =
   let kernel = Pv_kernels.Defs.by_name req.kernel in
@@ -181,25 +175,6 @@ let compute cfg ~token req =
     | None -> Experiment.run ~sim_cfg kernel dis
   in
   Experiment.point_to_json point
-
-type outcome = R_ok of string | R_err of string
-
-(* full retry loop for one request; returns (outcome, extra attempts) *)
-let compute_with_retries cfg req =
-  let p = cfg.policy in
-  let label = req.kernel ^ "/" ^ req.backend in
-  let rec go attempt =
-    let token = Supervisor.Token.create ?deadline_s:p.Supervisor.deadline_s () in
-    match compute cfg ~token req with
-    | body -> (R_ok body, attempt - 1)
-    | exception e ->
-        if attempt < p.Supervisor.max_attempts && p.Supervisor.retryable e then begin
-          Clock.sleep_s (Supervisor.backoff_delay p ~label ~attempt);
-          go (attempt + 1)
-        end
-        else (R_err (describe_exn e), attempt - 1)
-  in
-  go 1
 
 (* ------------------------------------------------------------------ *)
 (* Supervised request loop                                             *)
@@ -256,12 +231,14 @@ type item = { t_seq : int; t_key : string; t_req : request }
 
 type state = {
   cfg : config;
-  jobs_target : int;
+  pool : Parallel.pool option;  (** [None]: compute inline (serial) *)
+  jobs : int;
+  emit : string -> unit;
   lock : Mutex.t;
-  work : Condition.t;  (** workers: the queue may have work *)
-  progress : Condition.t;  (** main: a response landed or a worker died *)
-  queue : item Queue.t;
-  mutable draining : bool;
+  emit_lock : Mutex.t;
+      (** held while the ready prefix is popped and emitted, so lines
+          leave in order and [emit] never runs twice at once *)
+  settled : Condition.t;  (** signalled when [pending] drops to 0 *)
   responses : (int, string) Hashtbl.t;  (** seq -> response line *)
   mutable next_emit : int;
   mutable next_seq : int;
@@ -271,8 +248,6 @@ type state = {
   t0s : (int, int64) Hashtbl.t;  (** seq -> submit instant *)
   lats : float Queue.t;  (** latencies (ms) of computed responses *)
   kill_pending : (int, unit) Hashtbl.t;
-  mutable live : int;
-  mutable domains : unit Domain.t list;
   mutable n_received : int;
   mutable n_ok : int;
   mutable n_errors : int;
@@ -281,16 +256,17 @@ type state = {
   mutable n_dedup : int;
   mutable n_retries : int;
   mutable n_kills : int;
-  mutable n_respawns : int;
   mutable ewma_ms : float;
       (** exponentially weighted recent service latency; 0.0 until the
           first computed response lands *)
   mutable max_pending : int;  (** queue-depth high water *)
 }
 
+let respawns st = Option.fold ~none:0 ~some:Parallel.respawns st.pool
+
 (* store the computed outcome for every waiter of the item's key;
    lock held by caller *)
-let store_locked st item outcome retries =
+let store_locked st item result retries =
   let waiters =
     match Hashtbl.find_opt st.inflight item.t_key with
     | Some ws -> !ws
@@ -301,14 +277,14 @@ let store_locked st item outcome retries =
   List.iter
     (fun (seq, id) ->
       let line =
-        match outcome with
-        | R_ok body -> ok_line id body
-        | R_err msg -> error_line id msg
+        match result with
+        | Ok body -> ok_line id body
+        | Error e -> error_line id e.Supervisor.last_error
       in
       Hashtbl.replace st.responses seq line;
-      (match outcome with
-      | R_ok _ -> st.n_ok <- st.n_ok + 1
-      | R_err _ -> st.n_errors <- st.n_errors + 1);
+      (match result with
+      | Ok _ -> st.n_ok <- st.n_ok + 1
+      | Error _ -> st.n_errors <- st.n_errors + 1);
       (match Hashtbl.find_opt st.t0s seq with
       | Some t0 ->
           let ms = Clock.elapsed_s t0 *. 1000.0 in
@@ -320,110 +296,61 @@ let store_locked st item outcome retries =
       | None -> ());
       st.pending <- st.pending - 1)
     waiters;
-  Condition.signal st.progress
-
-(* [`Done] = outcome stored; [`Killed] = the worker must die and the item
-   be requeued (caller handles both under the lock) *)
-let process st item =
-  Mutex.lock st.lock;
-  let kill = Hashtbl.mem st.kill_pending item.t_seq in
-  if kill then Hashtbl.remove st.kill_pending item.t_seq;
-  Mutex.unlock st.lock;
-  if kill then `Killed
-  else begin
-    let outcome, retries = compute_with_retries st.cfg item.t_req in
-    Mutex.lock st.lock;
-    store_locked st item outcome retries;
-    Mutex.unlock st.lock;
-    `Done
-  end
-
-let rec worker st =
-  Mutex.lock st.lock;
-  while Queue.is_empty st.queue && not st.draining do
-    Condition.wait st.work st.lock
-  done;
-  if Queue.is_empty st.queue then begin
-    (* draining and nothing left to pull: this worker retires *)
-    st.live <- st.live - 1;
-    Condition.signal st.progress;
-    Mutex.unlock st.lock
-  end
-  else begin
-    let item = Queue.pop st.queue in
-    Mutex.unlock st.lock;
-    match process st item with
-    | `Done -> worker st
-    | `Killed ->
-        (* die mid-task: requeue the in-flight request (zero lost) and
-           let the main loop respawn a replacement *)
-        Mutex.lock st.lock;
-        st.n_kills <- st.n_kills + 1;
-        st.live <- st.live - 1;
-        Queue.push item st.queue;
-        Condition.signal st.work;
-        Condition.signal st.progress;
-        Mutex.unlock st.lock;
-        Pv_obs.Log.warn st.cfg.log "worker_killed"
-          ~fields:
-            [
-              ("seq", Pv_obs.Json.Int item.t_seq);
-              ("id", Pv_obs.Json.Str item.t_req.id);
-            ]
-  end
-
-(* lock held by caller *)
-let spawn_locked st =
-  st.live <- st.live + 1;
-  st.domains <- Domain.spawn (fun () -> worker st) :: st.domains
-
-let respawn_if_needed_locked st =
-  while st.live < st.jobs_target && not (Queue.is_empty st.queue) do
-    spawn_locked st;
-    st.n_respawns <- st.n_respawns + 1
-  done
-
-(* inline execution for jobs <= 1: the serial reference *)
-let drain_inline st =
-  let rec loop () =
-    Mutex.lock st.lock;
-    let item = if Queue.is_empty st.queue then None else Some (Queue.pop st.queue) in
-    Mutex.unlock st.lock;
-    match item with
-    | None -> ()
-    | Some item ->
-        (match process st item with
-        | `Done -> ()
-        | `Killed ->
-            (* no domain to kill serially: count it and recompute *)
-            Mutex.lock st.lock;
-            st.n_kills <- st.n_kills + 1;
-            Queue.push item st.queue;
-            Mutex.unlock st.lock;
-            Pv_obs.Log.warn st.cfg.log "worker_killed"
-              ~fields:
-                [
-                  ("seq", Pv_obs.Json.Int item.t_seq);
-                  ("id", Pv_obs.Json.Str item.t_req.id);
-                ]);
-        loop ()
-  in
-  loop ()
+  if st.pending = 0 then Condition.broadcast st.settled
 
 (* pop the contiguous ready prefix; lock held by caller *)
-let ready_locked st =
-  let out = ref [] in
-  let rec go () =
-    match Hashtbl.find_opt st.responses st.next_emit with
-    | Some line ->
-        Hashtbl.remove st.responses st.next_emit;
-        st.next_emit <- st.next_emit + 1;
-        out := line :: !out;
-        go ()
-    | None -> ()
-  in
-  go ();
-  List.rev !out
+let rec ready_locked ?(acc = []) st =
+  match Hashtbl.find_opt st.responses st.next_emit with
+  | Some line ->
+      Hashtbl.remove st.responses st.next_emit;
+      st.next_emit <- st.next_emit + 1;
+      ready_locked ~acc:(line :: acc) st
+  | None -> List.rev acc
+
+let with_emit_lock st f =
+  Mutex.lock st.emit_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock st.emit_lock) f
+
+(* emit the contiguous ready prefix, from whichever domain completed it *)
+let flush st =
+  with_emit_lock st (fun () ->
+      Mutex.lock st.lock;
+      let lines = ready_locked st in
+      Mutex.unlock st.lock;
+      List.iter st.emit lines)
+
+(* one compute attempt; the [kill_at] chaos hook makes the first attempt
+   of a marked arrival kill its worker instead *)
+let attempt st ~token item =
+  Mutex.lock st.lock;
+  let kill = Hashtbl.mem st.kill_pending item.t_seq in
+  if kill then begin
+    Hashtbl.remove st.kill_pending item.t_seq;
+    st.n_kills <- st.n_kills + 1
+  end;
+  Mutex.unlock st.lock;
+  if kill then begin
+    Pv_obs.Log.warn st.cfg.log "worker_killed"
+      ~fields:
+        [
+          ("seq", Pv_obs.Json.Int item.t_seq);
+          ("id", Pv_obs.Json.Str item.t_req.id);
+        ];
+    raise Supervisor.Kill_worker
+  end;
+  compute st.cfg ~token item.t_req
+
+(* the request's computation under the supervised attempt loop: on a
+   pool worker, or inline for jobs <= 1 (the serial reference) *)
+let start st item =
+  Supervisor.supervise ~policy:st.cfg.policy ?pool:st.pool
+    ~label:(item.t_req.kernel ^ "/" ^ item.t_req.backend)
+    (fun ~token -> attempt st ~token item)
+    (fun ~attempts result ->
+      Mutex.lock st.lock;
+      store_locked st item result (attempts - 1);
+      Mutex.unlock st.lock;
+      flush st)
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -438,7 +365,7 @@ let percentile sorted p =
    to the 1 ms minimum.  Lock held by caller. *)
 let retry_after_ms_locked st =
   let per_req = Float.max st.ewma_ms 0.0 in
-  let jobs = float_of_int (max 1 st.jobs_target) in
+  let jobs = float_of_int st.jobs in
   let hint = per_req *. float_of_int (st.pending + 1) /. jobs in
   max 1 (int_of_float (Float.ceil hint))
 
@@ -458,12 +385,13 @@ let stats_json_locked st =
       ("shed", Json.Int st.n_shed);
       ("errors", Json.Int st.n_errors);
       ("in_flight", Json.Int st.pending);
-      ("queue_depth", Json.Int (Queue.length st.queue));
+      ( "queue_depth",
+        Json.Int (Option.fold ~none:0 ~some:Parallel.queued st.pool) );
       ("queue_depth_max", Json.Int st.max_pending);
       ("dedup_hits", Json.Int st.n_dedup);
       ("retries", Json.Int st.n_retries);
       ("worker_kills", Json.Int st.n_kills);
-      ("respawns", Json.Int st.n_respawns);
+      ("respawns", Json.Int (respawns st));
       ("ewma_ms", Json.Float st.ewma_ms);
       ("p50_ms", Json.Float (percentile lats 0.50));
       ("p95_ms", Json.Float (percentile lats 0.95));
@@ -480,10 +408,9 @@ let is_stats_request line =
       | Some (Json.Str "stats") -> true
       | _ -> false)
 
-let run ?metrics cfg ~next ~emit =
+let run ?metrics (cfg : config) ~next ~emit =
   Atomic.set drain_flag false;
-  let jobs_target = Parallel.effective_jobs cfg.jobs in
-  let inline = jobs_target <= 1 in
+  let jobs = Parallel.effective_jobs cfg.jobs in
   let cache_hits0, cache_misses0 =
     match cfg.cache with
     | Some c -> (Parallel.Cache.hits c, Parallel.Cache.misses c)
@@ -492,12 +419,12 @@ let run ?metrics cfg ~next ~emit =
   let st =
     {
       cfg;
-      jobs_target;
+      pool = (if jobs <= 1 then None else Some (Parallel.create ~jobs));
+      jobs;
+      emit;
       lock = Mutex.create ();
-      work = Condition.create ();
-      progress = Condition.create ();
-      queue = Queue.create ();
-      draining = false;
+      emit_lock = Mutex.create ();
+      settled = Condition.create ();
       responses = Hashtbl.create 64;
       next_emit = 0;
       next_seq = 0;
@@ -506,8 +433,6 @@ let run ?metrics cfg ~next ~emit =
       t0s = Hashtbl.create 64;
       lats = Queue.create ();
       kill_pending = Hashtbl.create 4;
-      live = 0;
-      domains = [];
       n_received = 0;
       n_ok = 0;
       n_errors = 0;
@@ -516,7 +441,6 @@ let run ?metrics cfg ~next ~emit =
       n_dedup = 0;
       n_retries = 0;
       n_kills = 0;
-      n_respawns = 0;
       ewma_ms = 0.0;
       max_pending = 0;
     }
@@ -524,19 +448,13 @@ let run ?metrics cfg ~next ~emit =
   List.iter (fun seq -> Hashtbl.replace st.kill_pending seq ()) cfg.kill_at;
   let capacity = max 1 cfg.queue_capacity in
   let t_start = Clock.now_ns () in
-  Mutex.lock st.lock;
-  if not inline then
-    for _ = 1 to jobs_target do
-      spawn_locked st
-    done;
-  Mutex.unlock st.lock;
   (* ---- intake ---- *)
   let last_stats = ref t_start in
   let emit_stats_frame () =
     Mutex.lock st.lock;
     let frame = Json.to_string (stats_json_locked st) in
     Mutex.unlock st.lock;
-    emit frame
+    with_emit_lock st (fun () -> emit frame)
   in
   let rec intake () =
     if Atomic.get drain_flag then ()
@@ -552,54 +470,50 @@ let run ?metrics cfg ~next ~emit =
           st.n_received <- st.n_received + 1;
           let seq = st.next_seq in
           st.next_seq <- seq + 1;
-          (match parse_request line with
-          | Error msg ->
-              Hashtbl.replace st.responses seq (bad_line msg);
-              st.n_bad <- st.n_bad + 1
-          | Ok req ->
-              if st.pending >= capacity then begin
-                (* bounded queue: explicit shed, never a silent drop; the
-                   hint tells the client when capacity should free up *)
-                let retry_after_ms = retry_after_ms_locked st in
-                Hashtbl.replace st.responses seq
-                  (overloaded_line req.id ~retry_after_ms);
-                st.n_shed <- st.n_shed + 1;
-                Pv_obs.Log.warn st.cfg.log "shed"
-                  ~fields:
-                    [
-                      ("id", Pv_obs.Json.Str req.id);
-                      ("pending", Pv_obs.Json.Int st.pending);
-                      ("retry_after_ms", Pv_obs.Json.Int retry_after_ms);
-                    ]
-              end
-              else begin
-                st.pending <- st.pending + 1;
-                if st.pending > st.max_pending then
-                  st.max_pending <- st.pending;
-                Hashtbl.replace st.t0s seq (Clock.now_ns ());
-                let key = request_key req in
-                match Hashtbl.find_opt st.inflight key with
-                | Some ws ->
-                    (* identical request already in flight: wait on it *)
-                    ws := (seq, req.id) :: !ws;
-                    st.n_dedup <- st.n_dedup + 1
-                | None ->
-                    Hashtbl.add st.inflight key (ref [ (seq, req.id) ]);
-                    Queue.push { t_seq = seq; t_key = key; t_req = req }
-                      st.queue;
-                    Condition.signal st.work
-              end);
-          if not inline then respawn_if_needed_locked st;
-          let lines = ready_locked st in
+          let to_start =
+            match parse_request line with
+            | Error msg ->
+                Hashtbl.replace st.responses seq (bad_line msg);
+                st.n_bad <- st.n_bad + 1;
+                None
+            | Ok req ->
+                if st.pending >= capacity then begin
+                  (* bounded queue: explicit shed, never a silent drop;
+                     the hint tells the client when capacity should free
+                     up *)
+                  let retry_after_ms = retry_after_ms_locked st in
+                  Hashtbl.replace st.responses seq
+                    (overloaded_line req.id ~retry_after_ms);
+                  st.n_shed <- st.n_shed + 1;
+                  Pv_obs.Log.warn st.cfg.log "shed"
+                    ~fields:
+                      [
+                        ("id", Pv_obs.Json.Str req.id);
+                        ("pending", Pv_obs.Json.Int st.pending);
+                        ("retry_after_ms", Pv_obs.Json.Int retry_after_ms);
+                      ];
+                  None
+                end
+                else begin
+                  st.pending <- st.pending + 1;
+                  if st.pending > st.max_pending then
+                    st.max_pending <- st.pending;
+                  Hashtbl.replace st.t0s seq (Clock.now_ns ());
+                  let key = request_key req in
+                  match Hashtbl.find_opt st.inflight key with
+                  | Some ws ->
+                      (* identical request already in flight: wait on it *)
+                      ws := (seq, req.id) :: !ws;
+                      st.n_dedup <- st.n_dedup + 1;
+                      None
+                  | None ->
+                      Hashtbl.add st.inflight key (ref [ (seq, req.id) ]);
+                      Some { t_seq = seq; t_key = key; t_req = req }
+                end
+          in
           Mutex.unlock st.lock;
-          if inline then drain_inline st;
-          List.iter emit lines;
-          if inline then begin
-            Mutex.lock st.lock;
-            let lines = ready_locked st in
-            Mutex.unlock st.lock;
-            List.iter emit lines
-          end;
+          Option.iter (start st) to_start;
+          flush st;
           (match cfg.stats_interval with
           | Some iv when Clock.elapsed_s !last_stats >= iv ->
               last_stats := Clock.now_ns ();
@@ -611,27 +525,14 @@ let run ?metrics cfg ~next ~emit =
   (* ---- drain ---- *)
   Pv_obs.Log.info cfg.log "drain"
     ~fields:[ ("pending", Pv_obs.Json.Int st.pending) ];
-  if inline then drain_inline st;
   Mutex.lock st.lock;
-  st.draining <- true;
-  Condition.broadcast st.work;
   while st.pending > 0 do
-    respawn_if_needed_locked st;
-    (match ready_locked st with
-    | [] -> Condition.wait st.progress st.lock
-    | lines ->
-        Mutex.unlock st.lock;
-        List.iter emit lines;
-        Mutex.lock st.lock)
+    Condition.wait st.settled st.lock
   done;
-  Condition.broadcast st.work;
-  while st.live > 0 do
-    Condition.wait st.progress st.lock
-  done;
-  let last = ready_locked st in
   Mutex.unlock st.lock;
-  List.iter emit last;
-  List.iter Domain.join st.domains;
+  (* every completion emitted its own prefix; the join orders those
+     emits before the summary *)
+  Option.iter Parallel.shutdown st.pool;
   (* ---- summary ---- *)
   let wall_s = Clock.elapsed_s t_start in
   let lats = Array.of_seq (Queue.to_seq st.lats) in
@@ -655,7 +556,7 @@ let run ?metrics cfg ~next ~emit =
       dedup_hits = st.n_dedup;
       retries = st.n_retries;
       worker_kills = st.n_kills;
-      respawns = st.n_respawns;
+      respawns = respawns st;
       cache_hits;
       cache_misses;
       lost = st.n_received - responded;

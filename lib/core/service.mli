@@ -1,14 +1,15 @@
 (** The experiment service behind [prevv serve]: line-delimited JSON
     requests in, one JSON response line per request out, in request order.
 
-    The service runs each request through the {!Experiment} pipeline on a
-    supervised worker pool: per-attempt retry with the
-    {!Supervisor.backoff_delay} schedule, worker kills ({!Supervisor.Kill_worker},
-    injectable via {!config.kill_at}) respawned with the in-flight request
-    requeued, identical in-flight requests deduplicated against one
-    computation, a bounded pending queue with explicit load-shedding
-    (an ["overloaded"] response — never a silent drop), and graceful
-    drain.  Every accepted line gets exactly one response line; the
+    The service runs each request through the {!Experiment} pipeline
+    under {!Supervisor.supervise} on the {!Parallel} pool: per-attempt
+    retry with the {!Supervisor.backoff_delay} schedule, worker kills
+    ({!Supervisor.Kill_worker}, injectable via {!config.kill_at}) replaced
+    by the pool with the request resubmitted.  What is specific to
+    serving stays here: intake, identical in-flight requests deduplicated
+    against one computation, the reorder buffer, a bounded pending queue
+    with explicit load-shedding (an ["overloaded"] response — never a
+    silent drop), stats, and graceful drain.  Every accepted line gets exactly one response line; the
     {!summary} proves it with [lost = 0].
 
     Responses are deterministic: bodies carry no timing or attempt
@@ -73,7 +74,9 @@ type config = {
   cache : Parallel.Cache.t option;  (** content-addressed result reuse *)
   kill_at : int list;
       (** chaos injection: arrival sequence numbers whose first compute
-          attempt kills its worker domain (respawned, request requeued) *)
+          attempt kills its worker domain (replaced; the request is
+          retried within its [policy] budget, the kill counting as one
+          attempt) *)
   stats_interval : float option;
       (** emit a [{"type": "stats", ...}] frame at least this many seconds
           apart, checked between requests (the intake loop never wakes just
@@ -98,7 +101,9 @@ type summary = {
   bad_requests : int;  (** lines that failed {!parse_request} *)
   shed : int;  (** explicit ["overloaded"] responses *)
   dedup_hits : int;  (** requests served by another's in-flight computation *)
-  retries : int;  (** extra compute attempts beyond each request's first *)
+  retries : int;
+      (** extra compute attempts beyond each request's first, killed
+          attempts included *)
   worker_kills : int;  (** worker domains lost mid-request *)
   respawns : int;  (** replacement workers spawned *)
   cache_hits : int;
@@ -117,8 +122,11 @@ val summary_to_json : summary -> Pv_obs.Json.t
     returns [None] (or {!drain_now} was requested), computes them on the
     supervised pool, calls [emit] with exactly one response line per
     received line {e in arrival order}, drains, and returns the
-    {!summary}.  [next] and [emit] are only ever called from the calling
-    domain.  [metrics] (optional) receives [serve.*] counters (including
+    {!summary}.  [next] runs only on the calling domain.  [emit] runs
+    under one lock, from whichever domain completes the next response in
+    order (a worker, or the calling domain for bad and shed lines, stats
+    frames and [jobs <= 1]): a response leaves as soon as it and every
+    earlier one are done, not when the next request line arrives.  [metrics] (optional) receives [serve.*] counters (including
     latency percentiles and the [serve.queue_depth_max] gauge) and the
     cache's [cache.*] counters.
 

@@ -54,7 +54,7 @@ let backoff_schedule p ~label =
   List.init (max 0 (p.max_attempts - 1)) (fun i ->
       backoff_delay p ~label ~attempt:(i + 1))
 
-exception Kill_worker
+exception Kill_worker = Parallel.Kill_worker
 
 type task_error = {
   label : string;
@@ -97,13 +97,12 @@ type stats = {
 
 let describe_exn = function
   | Pv_dataflow.Sim.Cancelled { at_cycle } ->
-      Printf.sprintf "deadline exceeded (simulation cancelled at cycle %d)"
-        at_cycle
-  | Invalid_argument m -> Printf.sprintf "invalid configuration: %s" m
+      Printf.sprintf "deadline exceeded (cancelled at cycle %d)" at_cycle
+  | Invalid_argument m -> m
   | e -> Printexc.to_string e
 
-(* per-task mutable state; one slot per task, each written under the
-   round lock or by the single worker holding the task *)
+(* per-task mutable state, written only by the one domain running the
+   task's current attempt *)
 type 'b slot = {
   s_label : string;
   mutable s_attempts : int;
@@ -115,11 +114,23 @@ type 'b slot = {
   mutable s_give_up : bool;  (** non-retryable failure or budget exhausted *)
 }
 
-(* one attempt of one task; never raises *)
-let attempt policy f task (s : _ slot) =
+let new_slot label =
+  {
+    s_label = label;
+    s_attempts = 0;
+    s_kills = 0;
+    s_deadline_hit = false;
+    s_deadline_count = 0;
+    s_last_error = "";
+    s_value = None;
+    s_give_up = false;
+  }
+
+(* one attempt of one task; raises nothing but Kill_worker *)
+let attempt policy f (s : _ slot) =
   s.s_attempts <- s.s_attempts + 1;
   let token = Token.create ?deadline_s:policy.deadline_s () in
-  match f ~token task with
+  match f ~token with
   | v -> s.s_value <- Some v
   | exception Kill_worker ->
       s.s_kills <- s.s_kills + 1;
@@ -151,115 +162,40 @@ let result_of (s : _ slot) =
         }
 
 (* ------------------------------------------------------------------ *)
-(* Serial reference                                                    *)
+(* The attempt loop                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_serial policy f (slots : _ slot array) tasks =
-  Array.iteri
-    (fun i task ->
-      let s = slots.(i) in
-      let rec go () =
-        if not (finished s) then begin
-          (if s.s_attempts > 0 then
-             Clock.sleep_s
-               (backoff_delay policy ~label:s.s_label ~attempt:s.s_attempts));
-          (try attempt policy f task s with Kill_worker -> ());
-          go ()
-        end
-      in
-      go ())
-    tasks
+(* Run attempts of one task on the current domain until it succeeds or
+   gives up, sleeping the task's own backoff before every retry, then
+   call [on_done].  Inline ([pool = None]) a killed attempt is just a
+   failed one.  On a pool it ends the worker: the task hands what is
+   left of its budget to a fresh job (which backs off first) and
+   re-raises, so the pool spawns exactly one replacement. *)
+let rec drive policy pool f (s : _ slot) on_done =
+  if finished s then on_done ()
+  else begin
+    if s.s_attempts > 0 then
+      Clock.sleep_s
+        (backoff_delay policy ~label:s.s_label ~attempt:s.s_attempts);
+    match attempt policy f s with
+    | () -> drive policy pool f s on_done
+    | exception Kill_worker -> (
+        match pool with
+        | None -> drive policy pool f s on_done
+        | Some p ->
+            if finished s then on_done ()
+            else Parallel.submit p (fun () -> drive policy pool f s on_done);
+            raise Kill_worker)
+  end
 
-(* ------------------------------------------------------------------ *)
-(* Supervised pool                                                     *)
-(* ------------------------------------------------------------------ *)
+(* start the task's attempt loop on the pool, or run it inline *)
+let start policy pool f s on_done =
+  let run () = drive policy pool f s on_done in
+  match pool with None -> run () | Some p -> Parallel.submit p run
 
-(* One round runs a set of task indices across [jobs] worker domains.  A
-   worker that dies mid-task (Kill_worker) marks its in-flight task
-   failed, decrements the live count and exits; the main domain respawns
-   a replacement while queued work remains, so the pool never shrinks
-   below [jobs] while there is anything left to pull. *)
-let run_round ~jobs f policy (slots : _ slot array) tasks indices respawns =
-  let queue = Queue.create () in
-  List.iter (fun i -> Queue.push i queue) indices;
-  let total = List.length indices in
-  let lock = Mutex.create () in
-  let changed = Condition.create () in
-  let completed = ref 0 in
-  let live = ref 0 in
-  let domains = ref [] in
-  let worker () =
-    let rec loop () =
-      Mutex.lock lock;
-      let next = if Queue.is_empty queue then None else Some (Queue.pop queue) in
-      Mutex.unlock lock;
-      match next with
-      | None -> ()
-      | Some i -> (
-          let s = slots.(i) in
-          match attempt policy f tasks.(i) s with
-          | () ->
-              Mutex.lock lock;
-              incr completed;
-              Condition.signal changed;
-              Mutex.unlock lock;
-              loop ()
-          | exception Kill_worker ->
-              (* this worker is dead: account for the in-flight task,
-                 then fall off the domain *)
-              Mutex.lock lock;
-              incr completed;
-              decr live;
-              Condition.signal changed;
-              Mutex.unlock lock)
-    in
-    loop ()
-  in
-  let spawn () =
-    incr live;
-    domains := Domain.spawn worker :: !domains
-  in
-  Mutex.lock lock;
-  for _ = 1 to min jobs total do
-    spawn ()
-  done;
-  while !completed < total do
-    (* respawn after kills while queued work remains *)
-    while !live < jobs && not (Queue.is_empty queue) do
-      spawn ();
-      incr respawns
-    done;
-    if !completed < total then Condition.wait changed lock
-  done;
-  Mutex.unlock lock;
-  List.iter Domain.join !domains
-
-let run_pool ~jobs policy f (slots : _ slot array) tasks =
-  let respawns = ref 0 in
-  let rec rounds indices =
-    if indices <> [] then begin
-      run_round ~jobs f policy slots tasks indices respawns;
-      let retry =
-        List.filter (fun i -> not (finished slots.(i))) indices
-      in
-      if retry <> [] then begin
-        (* round-granular backoff: sleep the longest of the retried
-           tasks' individual deterministic delays *)
-        let delay =
-          List.fold_left
-            (fun acc i ->
-              let s = slots.(i) in
-              Float.max acc
-                (backoff_delay policy ~label:s.s_label ~attempt:s.s_attempts))
-            0.0 retry
-        in
-        Clock.sleep_s delay;
-        rounds retry
-      end
-    end
-  in
-  rounds (List.init (Array.length tasks) Fun.id);
-  !respawns
+let supervise ?(policy = default_policy) ?pool ~label f k =
+  let s = new_slot label in
+  start policy pool f s (fun () -> k ~attempts:s.s_attempts (result_of s))
 
 (* ------------------------------------------------------------------ *)
 
@@ -269,28 +205,19 @@ let run_tasks ?(policy = default_policy) ?metrics
   if policy.max_attempts < 1 then
     invalid_arg "Supervisor.run_tasks: max_attempts < 1";
   let tasks = Array.of_list tasks in
-  let slots =
-    Array.map
-      (fun task ->
-        {
-          s_label = label task;
-          s_attempts = 0;
-          s_kills = 0;
-          s_deadline_hit = false;
-          s_deadline_count = 0;
-          s_last_error = "";
-          s_value = None;
-          s_give_up = false;
-        })
-      tasks
+  let slots = Array.map (fun task -> new_slot (label task)) tasks in
+  let jobs =
+    max 1 (min (Parallel.effective_jobs jobs) (Array.length tasks))
   in
-  let jobs = Parallel.effective_jobs jobs in
-  let respawns =
-    if jobs <= 1 || Array.length tasks < 2 then begin
-      run_serial policy f slots tasks;
-      0
-    end
-    else run_pool ~jobs policy f slots tasks
+  let pool = if jobs <= 1 then None else Some (Parallel.create ~jobs) in
+  Array.iteri
+    (fun i task ->
+      start policy pool (fun ~token -> f ~token task) slots.(i) ignore)
+    tasks;
+  Option.iter Parallel.shutdown pool;
+  let respawns = Option.fold ~none:0 ~some:Parallel.respawns pool in
+  let worker_jobs =
+    Option.fold ~none:[ Array.length tasks ] ~some:Parallel.worker_jobs pool
   in
   let results = Array.to_list (Array.map result_of slots) in
   let stats =
@@ -313,7 +240,9 @@ let run_tasks ?(policy = default_policy) ?metrics
       M.add m (metrics_prefix ^ "retries") stats.retries;
       M.add m (metrics_prefix ^ "respawns") stats.respawns;
       M.add m (metrics_prefix ^ "task_errors") stats.failed;
-      M.add m (metrics_prefix ^ "deadline_hits") stats.deadline_hits);
+      M.add m (metrics_prefix ^ "deadline_hits") stats.deadline_hits;
+      M.set_gauge_max m (metrics_prefix ^ "jobs_effective") jobs;
+      List.iter (M.observe m (metrics_prefix ^ "worker_jobs")) worker_jobs);
   (* structured post-run logging: per-task anomalies (retries, kills,
      deadline overruns, final failures) plus one pool summary.  Emitted
      from the calling domain only, after the workers have joined, so the

@@ -1,23 +1,26 @@
-(** Supervision layer over the {!Parallel} worker pool: crash isolation,
-    per-task deadlines, deterministic retry with exponential backoff, and
-    worker respawn.
+(** Supervision: a task wrapper over the {!Parallel} worker pool with
+    crash isolation, per-task deadlines and deterministic retry with
+    exponential backoff.
 
-    The bare pool ({!Parallel.map_pool}) is exception-transparent: one
-    raising task re-raises after the batch, poisoning the whole grid, and
-    a task that escapes the wrapper kills its worker domain silently.
-    This module wraps every task so that
+    {!Parallel.map} is exception-transparent: one raising task re-raises
+    after the batch, poisoning the whole grid.  This module wraps every
+    task in an attempt loop that runs inside the worker, so that
 
     - an uncaught exception marks only that task failed;
     - a per-attempt deadline (cooperative: the task polls its
       {!Token}, the simulator raises {!Pv_dataflow.Sim.Cancelled}) turns a
       runaway task into a retried one instead of a hung grid;
     - a killed worker (a task raising {!Kill_worker}, the chaos-testing
-      stand-in for a dying domain) takes down only itself: the in-flight
-      task is marked failed-retryable and the supervisor respawns a
-      replacement worker so the pool never shrinks;
-    - failed tasks are retried with seed-deterministic exponential
-      backoff up to [max_attempts], then reported as a structured
-      {!task_error} — the caller always receives one result per task.
+      stand-in for a dying domain) takes down only itself: the pool
+      spawns one replacement and the task is resubmitted with what is
+      left of its attempt budget;
+    - failed tasks are retried, each after its own seed-deterministic
+      exponential backoff, up to [max_attempts], then reported as a
+      structured {!task_error} — the caller always receives one result
+      per task.
+
+    With no pool (or [jobs <= 1]) the same loop runs inline on the
+    calling domain: the serial reference.
 
     DESIGN.md §18 specifies the task lifecycle and policy semantics. *)
 
@@ -73,14 +76,19 @@ val backoff_schedule : policy -> label:string -> float list
 (** {1 Task outcomes} *)
 
 (** Raised by a task to simulate its worker domain dying mid-task — the
-    chaos-testing kill switch.  The supervisor marks the task
-    failed-retryable, lets the worker die, and respawns a replacement. *)
+    chaos-testing kill switch ({!Parallel.Kill_worker}).  The attempt
+    counts as failed and retryable; on a pool the worker dies and is
+    replaced, inline the loop simply goes on. *)
 exception Kill_worker
 
 type task_error = {
   label : string;  (** e.g. ["gaussian/prevv16"] *)
   attempts : int;  (** attempts actually made *)
-  last_error : string;  (** printed last exception / post-mortem *)
+  last_error : string;
+      (** the last failure, in the one wording [prevv serve] error bodies
+          and sweep [infeasible: <msg>] lines share: [Invalid_argument m]
+          is [m], a deadline cancellation names its cycle, anything else
+          is [Printexc.to_string] *)
   deadline_hit : bool;  (** the last failure was a deadline overrun *)
   worker_kills : int;  (** attempts that died with {!Kill_worker} *)
 }
@@ -100,13 +108,30 @@ type stats = {
 
 (** {1 Running} *)
 
+(** [supervise ~pool ~label f k] runs one task under the attempt loop and
+    calls [k ~attempts result] exactly once when it ends ([attempts]
+    counts killed attempts too).  With [pool] the attempts run on its
+    workers, [k] runs on whichever worker ends the task, and [supervise]
+    returns at once; without, everything runs on the calling domain before
+    [supervise] returns.  [f] gets a fresh {!Token} per attempt. *)
+val supervise :
+  ?policy:policy ->
+  ?pool:Parallel.pool ->
+  label:string ->
+  (token:Token.t -> 'b) ->
+  (attempts:int -> ('b, task_error) result -> unit) ->
+  unit
+
 (** [run_tasks ~jobs ~label f tasks] runs every task under supervision and
     returns one result per task, in task order, plus the run's {!stats}.
     [f] receives a fresh {!Token} per attempt (wire it into
-    [Sim.config.cancel] for cooperative deadlines).  [jobs <= 1] runs
-    serially on the calling domain — the deterministic reference.
-    [metrics] (optional) gets [<prefix>retries] / [<prefix>respawns] /
-    [<prefix>task_errors] / [<prefix>deadline_hits] counters
+    [Sim.config.cancel] for cooperative deadlines).  The tasks run on a
+    transient {!Parallel} pool of [min jobs (List.length tasks)] workers;
+    [jobs <= 1] runs them serially on the calling domain — the
+    deterministic reference.  [metrics] (optional) gets [<prefix>retries]
+    / [<prefix>respawns] / [<prefix>task_errors] / [<prefix>deadline_hits]
+    counters, the [<prefix>jobs_effective] gauge and one
+    [<prefix>worker_jobs] observation per worker
     ([metrics_prefix] defaults to ["supervisor."]).  [log] (default
     {!Pv_obs.Log.null}) receives one structured line per anomalous task
     ([task_retried] at Warn, [task_failed] at Error) and a [pool_summary]

@@ -496,7 +496,7 @@ let test_sweep_metrics_jobs_invariant () =
   in
   let sweep jobs =
     let m = Metrics.create () in
-    let rs = Experiment.sweep ~metrics:m ~jobs cells in
+    let rs, _stats = Experiment.sweep ~metrics:m ~jobs cells in
     (rs, Metrics.snapshot m)
   in
   let serial, m1 = sweep 1 in

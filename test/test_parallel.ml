@@ -3,6 +3,8 @@
    The load-bearing properties:
    - Parallel.map is order-preserving and exception-transparent, and with
      jobs <= 1 is exactly the serial reference.
+   - The pool drains its queue on shutdown and replaces a worker killed by
+     Kill_worker with exactly one new worker, without rerunning the job.
    - The same experiment grid computed on 1 worker and on N genuinely
      concurrent workers (a forced pool, deliberately oversubscribing a
      small machine) is identical point for point — the assertion behind
@@ -35,13 +37,9 @@ let test_map_order_under_skew () =
     done;
     (i, !acc)
   in
-  let pool = Parallel.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () -> Parallel.shutdown pool)
-    (fun () ->
-      Alcotest.(check (list (pair int int)))
-        "order preserved" (List.map f xs)
-        (Parallel.map_pool pool f xs))
+  Alcotest.(check (list (pair int int)))
+    "order preserved" (List.map f xs)
+    (Parallel.map ~jobs:4 f xs)
 
 let test_map_exception () =
   let f x = if x = 7 then raise (Boom x) else x in
@@ -67,6 +65,29 @@ let test_pool_drains_queue () =
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Parallel.submit: pool is shut down") (fun () ->
       Parallel.submit pool (fun () -> ()))
+
+let test_pool_kill_respawns_once () =
+  (* every third job kills its worker: each kill costs exactly one
+     replacement, the killed jobs are not rerun, and every other job
+     still runs on the fixed number of worker slots *)
+  let pool = Parallel.create ~jobs:2 in
+  let ran = Atomic.make 0 and kills = Atomic.make 0 in
+  for i = 1 to 30 do
+    Parallel.submit pool (fun () ->
+        if i mod 3 = 0 then begin
+          Atomic.incr kills;
+          raise Parallel.Kill_worker
+        end;
+        Atomic.incr ran)
+  done;
+  Parallel.shutdown pool;
+  Alcotest.(check int) "killed jobs ran once" 10 (Atomic.get kills);
+  Alcotest.(check int) "other jobs all ran" 20 (Atomic.get ran);
+  Alcotest.(check int) "one replacement per kill" 10 (Parallel.respawns pool);
+  Alcotest.(check int) "two worker slots" 2
+    (List.length (Parallel.worker_jobs pool));
+  Alcotest.(check int) "tally counts the completed jobs" 20
+    (List.fold_left ( + ) 0 (Parallel.worker_jobs pool))
 
 (* ------------------------------------------------------------------ *)
 (* Result cache                                                        *)
@@ -121,14 +142,10 @@ let grid_cells () =
 let test_grid_serial_vs_concurrent () =
   let cells = grid_cells () in
   let serial = List.map (fun (k, d) -> Experiment.run k d) cells in
-  (* a forced 4-worker pool: genuinely concurrent even on one core, so
-     any shared mutable state in compile/simulate/elaborate would race *)
-  let pool = Parallel.create ~jobs:4 in
+  (* 4 workers honoured exactly: genuinely concurrent even on one core,
+     so any shared mutable state in compile/simulate/elaborate would race *)
   let concurrent =
-    Fun.protect
-      ~finally:(fun () -> Parallel.shutdown pool)
-      (fun () ->
-        Parallel.map_pool pool (fun (k, d) -> Experiment.run k d) cells)
+    Parallel.map ~jobs:4 (fun (k, d) -> Experiment.run k d) cells
   in
   List.iter2
     (fun (a : Experiment.point) (b : Experiment.point) ->
@@ -147,14 +164,10 @@ let test_same_cell_concurrently () =
      shared state that the disjoint-cells grid test would miss *)
   let kernel = Pv_kernels.Defs.gaussian () in
   let reference = Experiment.run kernel (Pipeline.prevv 16) in
-  let pool = Parallel.create ~jobs:4 in
   let copies =
-    Fun.protect
-      ~finally:(fun () -> Parallel.shutdown pool)
-      (fun () ->
-        Parallel.map_pool pool
-          (fun () -> Experiment.run kernel (Pipeline.prevv 16))
-          (List.init 8 (fun _ -> ())))
+    Parallel.map ~jobs:4
+      (fun () -> Experiment.run kernel (Pipeline.prevv 16))
+      (List.init 8 (fun _ -> ()))
   in
   List.iteri
     (fun i p ->
@@ -198,6 +211,8 @@ let () =
             test_map_order_under_skew;
           Alcotest.test_case "exception transparency" `Quick test_map_exception;
           Alcotest.test_case "pool drains queue" `Quick test_pool_drains_queue;
+          Alcotest.test_case "kill spawns one replacement" `Quick
+            test_pool_kill_respawns_once;
         ] );
       ( "cache",
         [

@@ -2,8 +2,9 @@
    invariants: parse round-trips, every accepted line gets exactly one
    response ([lost = 0]) even with a worker killed mid-soak, parallel
    output is byte-identical to the serial replay, overload sheds
-   explicitly instead of dropping, and identical in-flight requests share
-   one computation. *)
+   explicitly instead of dropping, identical in-flight requests share
+   one computation, and a finished response leaves without waiting for
+   the next request line. *)
 
 open Pv_core
 
@@ -112,12 +113,77 @@ let test_soak_kill_zero_lost () =
   Alcotest.(check int) "no duplicates" n
     (List.length (String.split_on_char '\n' (String.trim out_par)));
   Alcotest.(check int) "the injected kill fired" 1 s_par.Service.worker_kills;
-  Alcotest.(check bool) "replacement worker spawned" true
-    (s_par.Service.respawns >= 1);
+  Alcotest.(check int) "one replacement worker" 1 s_par.Service.respawns;
   Alcotest.(check int) "nothing shed" 0 s_par.Service.shed;
   let out_ser, s_ser = run_requests (config 1 []) reqs in
   Alcotest.(check int) "serial zero lost" 0 s_ser.Service.lost;
   Alcotest.(check string) "byte-identical to serial replay" out_ser out_par
+
+let test_one_respawn_per_kill () =
+  (* three kills on the pool: each costs exactly one replacement worker,
+     and with the default budget every killed request still succeeds *)
+  let n = 24 in
+  let _, s =
+    run_requests
+      {
+        Service.default_config with
+        Service.jobs = 2;
+        Service.queue_capacity = 2 * n;
+        Service.policy = quick_policy;
+        Service.kill_at = [ 3; 11; 19 ];
+      }
+      (cold_requests n)
+  in
+  Alcotest.(check int) "zero lost" 0 s.Service.lost;
+  Alcotest.(check int) "every request ok" n s.Service.ok;
+  Alcotest.(check int) "three kills" 3 s.Service.worker_kills;
+  Alcotest.(check int) "respawns = worker kills" s.Service.worker_kills
+    s.Service.respawns;
+  Alcotest.(check int) "each kill is a retry" 3 s.Service.retries
+
+let test_emit_before_next_line () =
+  (* an interactive client sends its next line only after the reply to
+     the previous one: with workers, the response must be emitted while
+     [next] is still waiting for input *)
+  let lock = Mutex.create () in
+  let n_emitted = ref 0 and calls = ref 0 and seen = ref false in
+  let next () =
+    incr calls;
+    match !calls with
+    | 1 ->
+        Some
+          (Service.request_to_json
+             (Service.request ~id:"a" ~kernel:"histogram" ~backend:"prevv16"
+                ()))
+    | 2 ->
+        let deadline = Clock.now_s () +. 5.0 in
+        Mutex.lock lock;
+        while !n_emitted = 0 && Clock.now_s () < deadline do
+          Mutex.unlock lock;
+          Clock.sleep_s 0.005;
+          Mutex.lock lock
+        done;
+        seen := !n_emitted > 0;
+        Mutex.unlock lock;
+        None
+    | _ -> None
+  in
+  let emit _ =
+    Mutex.lock lock;
+    incr n_emitted;
+    Mutex.unlock lock
+  in
+  let s =
+    Service.run
+      {
+        Service.default_config with
+        Service.jobs = 2;
+        Service.policy = quick_policy;
+      }
+      ~next ~emit
+  in
+  Alcotest.(check bool) "response emitted while next waited" true !seen;
+  Alcotest.(check int) "zero lost" 0 s.Service.lost
 
 let test_overload_sheds_explicitly () =
   (* far more cold requests than a tiny queue can hold: the excess is
@@ -356,6 +422,10 @@ let () =
         [
           Alcotest.test_case "kill mid-soak, zero lost, serial-identical"
             `Quick test_soak_kill_zero_lost;
+          Alcotest.test_case "one respawn per kill" `Quick
+            test_one_respawn_per_kill;
+          Alcotest.test_case "response emitted before the next line" `Quick
+            test_emit_before_next_line;
           Alcotest.test_case "overload sheds explicitly" `Quick
             test_overload_sheds_explicitly;
           Alcotest.test_case "in-flight dedupe" `Quick test_dedup_in_flight;

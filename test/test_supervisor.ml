@@ -7,7 +7,8 @@
      comes back as a structured task_error while the rest of the grid
      completes — one crash never poisons the batch;
    - a worker killed mid-task (Kill_worker) takes down only itself: the
-     supervisor respawns a replacement and the task still completes;
+     pool spawns exactly one replacement per kill and the task still
+     completes within its attempt budget;
    - a cooperative deadline cancels a runaway task (the simulator's
      cancel hook raises Sim.Cancelled) and is reported as deadline_hit. *)
 
@@ -152,8 +153,32 @@ let test_killed_worker_respawned () =
           Alcotest.failf "task %d failed: %s" i e.Supervisor.last_error)
     results;
   Alcotest.(check int) "all completed" 6 stats.Supervisor.completed;
-  Alcotest.(check bool) "replacement spawned" true
-    (stats.Supervisor.respawns >= 1)
+  Alcotest.(check int) "one replacement" 1 stats.Supervisor.respawns;
+  Alcotest.(check int) "the killed attempt is a retry" 1
+    stats.Supervisor.retries
+
+let test_one_respawn_per_kill () =
+  (* three tasks kill their worker on their first two attempts: six
+     kills on the pool, six replacements, every task still completes on
+     its third attempt *)
+  let kills = Atomic.make 0 in
+  let tries = Array.init 9 (fun _ -> Atomic.make 0) in
+  let results, stats =
+    Supervisor.run_tasks ~policy:quick_policy ~jobs:3
+      ~label:(Printf.sprintf "task%d")
+      (fun ~token:_ i ->
+        if i mod 3 = 0 && Atomic.fetch_and_add tries.(i) 1 < 2 then begin
+          Atomic.incr kills;
+          raise Supervisor.Kill_worker
+        end;
+        i)
+      (List.init 9 Fun.id)
+  in
+  Alcotest.(check (list int)) "all tasks completed" (List.init 9 Fun.id)
+    (List.map (function Ok v -> v | Error _ -> -1) results);
+  Alcotest.(check int) "six kills" 6 (Atomic.get kills);
+  Alcotest.(check int) "respawns = worker kills" (Atomic.get kills)
+    stats.Supervisor.respawns
 
 let test_kill_exhausts_budget () =
   (* a task that kills its worker every time ends as a task_error with
@@ -211,26 +236,30 @@ let test_deadline_overrun_reported () =
   Alcotest.(check int) "deadline hits counted" 2 stats.Supervisor.deadline_hits
 
 let test_sim_cancel_hook () =
-  (* the simulator's cancel hook: an already-cancelled token turns the
-     run into a deterministic Cancelled error *)
-  let sim_cfg =
-    { Pv_dataflow.Sim.default_config with
-      Pv_dataflow.Sim.cancel = (fun () -> true) }
+  (* the simulator's cancel hook, wired to each cell's token by
+     Experiment.sweep: an already-expired deadline turns the run into a
+     deterministic Cancelled error naming its cycle *)
+  let policy =
+    { quick_policy with
+      Supervisor.max_attempts = 1;
+      Supervisor.deadline_s = Some (-1.0) }
   in
   match
-    Experiment.run_checked ~sim_cfg (Pv_kernels.Defs.gaussian ())
-      (Pipeline.prevv 16)
+    Experiment.sweep ~policy
+      [ (Pv_kernels.Defs.gaussian (), Pipeline.prevv 16) ]
   with
-  | Error msg ->
+  | [ Error e ], _ ->
+      Alcotest.(check bool) "deadline_hit" true e.Supervisor.deadline_hit;
       Alcotest.(check bool) "names the cancel cycle" true
-        (String.length msg >= 9 && String.sub msg 0 9 = "cancelled")
-  | Ok _ -> Alcotest.fail "cancelled run must not produce a point"
+        (String.starts_with ~prefix:"deadline exceeded (cancelled at cycle"
+           e.Supervisor.last_error)
+  | _ -> Alcotest.fail "cancelled run must not produce a point"
 
 (* ------------------------------------------------------------------ *)
 (* Supervised sweep over real cells                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_sweep_supervised_partial_results () =
+let test_sweep_partial_results () =
   (* one infeasible cell (depth 2 cannot hold one body instance): the
      errors section names it, the other cells complete *)
   let kernel = Pv_kernels.Defs.gaussian () in
@@ -240,19 +269,21 @@ let test_sweep_supervised_partial_results () =
   in
   let m = Pv_obs.Metrics.create () in
   let results, stats =
-    Experiment.sweep_supervised ~policy:quick_policy ~metrics:m ~jobs:2 cells
+    Experiment.sweep ~policy:quick_policy ~metrics:m ~jobs:2 cells
   in
   (match results with
   | [ Error e; Ok p16; Ok plsq ] ->
       Alcotest.(check string)
         "error names kernel/config" "gaussian/prevv1" e.Supervisor.label;
       Alcotest.(check int) "infeasible fails fast" 1 e.Supervisor.attempts;
+      Alcotest.(check bool) "message is the bare Invalid_argument text" true
+        (String.starts_with ~prefix:"PreVV: depth_q" e.Supervisor.last_error);
       Alcotest.(check bool) "points verified" true
         (p16.Experiment.verified && plsq.Experiment.verified)
   | _ -> Alcotest.fail "expected [Error; Ok; Ok]");
   Alcotest.(check int) "stats.completed" 2 stats.Supervisor.completed;
   Alcotest.(check int) "stats.failed" 1 stats.Supervisor.failed;
-  (* the supervised sweep matches the bare runs point for point *)
+  (* the sweep matches the bare runs point for point *)
   let reference = Experiment.run kernel (Pipeline.prevv 16) in
   (match results with
   | [ _; Ok p; _ ] ->
@@ -273,23 +304,19 @@ let test_sweep_supervised_partial_results () =
       | Error msg -> Alcotest.failf "task_error json unparseable: %s" msg)
   | _ -> ()
 
-let test_paper_grid_supervised_shape () =
-  let rows, stats = Experiment.paper_grid_supervised ~jobs:2 () in
+let test_paper_grid_shape () =
+  let rows = Experiment.paper_grid ~jobs:2 () in
   Alcotest.(check int) "five kernel rows" 5 (List.length rows);
   List.iter
     (fun row ->
       Alcotest.(check int) "four configs per row" 4 (List.length row);
       List.iter
-        (function
-          | Ok (p : Experiment.point) ->
-              Alcotest.(check bool)
-                (p.Experiment.kernel ^ "/" ^ p.Experiment.config ^ " verified")
-                true p.Experiment.verified
-          | Error e -> Alcotest.failf "unexpected grid error: %s"
-                         e.Supervisor.last_error)
+        (fun (p : Experiment.point) ->
+          Alcotest.(check bool)
+            (p.Experiment.kernel ^ "/" ^ p.Experiment.config ^ " verified")
+            true p.Experiment.verified)
         row)
-    rows;
-  Alcotest.(check int) "all 20 points" 20 stats.Supervisor.completed
+    rows
 
 let () =
   Alcotest.run "supervisor"
@@ -312,6 +339,8 @@ let () =
             test_killed_worker_respawned;
           Alcotest.test_case "kill exhausts budget" `Quick
             test_kill_exhausts_budget;
+          Alcotest.test_case "one respawn per kill" `Quick
+            test_one_respawn_per_kill;
         ] );
       ( "deadlines",
         [
@@ -323,8 +352,7 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "partial results + errors section" `Quick
-            test_sweep_supervised_partial_results;
-          Alcotest.test_case "paper grid supervised" `Quick
-            test_paper_grid_supervised_shape;
+            test_sweep_partial_results;
+          Alcotest.test_case "paper grid shape" `Quick test_paper_grid_shape;
         ] );
     ]
