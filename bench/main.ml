@@ -5,7 +5,11 @@
    Usage:
      dune exec bench/main.exe                        -- everything, serial
      dune exec bench/main.exe -- --jobs 4 table1     -- across 4 domains
-     dune exec bench/main.exe -- --json [PATH]       -- baselines JSON (v4)
+     dune exec bench/main.exe -- --json [PATH]       -- baselines JSON
+     dune exec bench/main.exe -- --jobs 2 --check BASELINE [FRESH]
+                                                     -- gate FRESH (default
+                                                        BENCH_sim.json)
+                                                        against BASELINE
      dune exec bench/main.exe -- --backend prevv64 --json
      dune exec bench/main.exe -- fig1 table1 table2 fig7 queue_states
                                   deadlock depth_sweep scalability
@@ -22,6 +26,7 @@
    cache (default: on for --json, off for tables). *)
 
 open Pv_core
+module Json = Pv_obs.Json
 
 (* wall clock (CLOCK_MONOTONIC via Pv_core.Clock).  Sys.time is
    per-process CPU time: under multiple domains it sums the busy time of
@@ -601,22 +606,32 @@ let soak ~jobs ~n () =
     Printf.eprintf "SOAK FAILURE: lost=%d/%d/%d identical=%b\n" sp.Service.lost
       ss.Service.lost sb.Service.lost identical;
   let json =
-    Printf.sprintf
-      "{ \"requests\": %d, \"jobs_requested\": %d, \"jobs_effective\": %d, \
-       \"wall_s\": %.6f, \"requests_per_s\": %.1f, \"p50_ms\": %.4f, \
-       \"p95_ms\": %.4f, \"p99_ms\": %.4f, \"cache_hit_rate\": %.4f, \
-       \"dedup_hits\": %d, \
-       \"retries\": %d, \"worker_kills\": %d, \"respawns\": %d, \"shed\": %d, \
-       \"lost\": %d, \"identical_to_serial_replay\": %b, \"overload\": { \
-       \"requests\": %d, \"shed\": %d, \"lost\": %d } }"
-      sp.Service.received jobs
-      (Parallel.effective_jobs jobs)
-      sp.Service.wall_s sp.Service.requests_per_s sp.Service.p50_ms
-      sp.Service.p95_ms sp.Service.p99_ms (hit_rate sp) sp.Service.dedup_hits
-      sp.Service.retries
-      sp.Service.worker_kills sp.Service.respawns sp.Service.shed
-      sp.Service.lost identical sb.Service.received sb.Service.shed
-      sb.Service.lost
+    Json.Obj
+      [
+        ("requests", Json.Int sp.Service.received);
+        ("jobs_requested", Json.Int jobs);
+        ("jobs_effective", Json.Int (Parallel.effective_jobs jobs));
+        ("wall_s", Json.fixed 6 sp.Service.wall_s);
+        ("requests_per_s", Json.fixed 1 sp.Service.requests_per_s);
+        ("p50_ms", Json.fixed 4 sp.Service.p50_ms);
+        ("p95_ms", Json.fixed 4 sp.Service.p95_ms);
+        ("p99_ms", Json.fixed 4 sp.Service.p99_ms);
+        ("cache_hit_rate", Json.fixed 4 (hit_rate sp));
+        ("dedup_hits", Json.Int sp.Service.dedup_hits);
+        ("retries", Json.Int sp.Service.retries);
+        ("worker_kills", Json.Int sp.Service.worker_kills);
+        ("respawns", Json.Int sp.Service.respawns);
+        ("shed", Json.Int sp.Service.shed);
+        ("lost", Json.Int sp.Service.lost);
+        ("identical_to_serial_replay", Json.Bool identical);
+        ( "overload",
+          Json.Obj
+            [
+              ("requests", Json.Int sb.Service.received);
+              ("shed", Json.Int sb.Service.shed);
+              ("lost", Json.Int sb.Service.lost);
+            ] );
+      ]
   in
   (json, ok)
 
@@ -638,10 +653,10 @@ let soak ~jobs ~n () =
    fires, backend traffic, arbiter tallies), and the chaos-soak section
    (the supervised service under 10k requests, one injected worker kill
    and an overload burst), as a stable JSON document the CI archives and
-   diffs against the committed baseline (schema prevv-bench-sim/v7; v7
-   adds each kernel cell's arbiter_scan / pq_validate attribution shares
-   from a profiled pass, the regression surface of the incremental
-   arbiter-validation work). *)
+   checks against the committed baseline with --check (schema
+   Pv_bench.Baseline.schema; v7 adds each kernel cell's arbiter_scan /
+   pq_validate attribution shares from a profiled pass, the regression
+   surface of the incremental arbiter-validation work). *)
 
 let bench_json ~path ~jobs ~cache ~backend () =
   let module Sim = Pv_dataflow.Sim in
@@ -712,127 +727,99 @@ let bench_json ~path ~jobs ~cache ~backend () =
        (String.concat ", " (List.map Pv_core.Scheme.to_string regimes)));
   Printf.printf "%-14s %-10s | %10s %9s | %10s %9s | %6s %6s %5s\n" "kernel"
     "backend" "scan ev" "time(s)" "event ev" "time(s)" "evr" "tr" "equiv";
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"prevv-bench-sim/v7\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"backend\": %S,\n" (Pv_core.Scheme.to_string dis));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"regime_backends\": [ %s ],\n"
-       (String.concat ", "
-          (List.map
-             (fun d -> Printf.sprintf "%S" (Pv_core.Scheme.to_string d))
-             regimes)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"default_engine\": %S,\n"
-       (Sim.string_of_engine Sim.default_config.Sim.engine));
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf "  \"kernels\": [\n";
   let eval_ratios = ref [] and time_ratios = ref [] in
   let time_ratios_by_backend =
     List.map (fun d -> (Pv_core.Scheme.to_string d, ref [])) regimes
   in
-  let kernels = Pv_kernels.Defs.paper_benchmarks () in
-  let n_kernels = List.length kernels in
-  let n_regimes = List.length regimes in
-  List.iteri
-    (fun i kernel ->
-      let name = kernel.Pv_kernels.Ast.name in
-      let compiled = Pipeline.compile kernel in
-      let alloc_scan = allocs_per_cycle compiled Sim.Scan in
-      let alloc_event = allocs_per_cycle compiled Sim.Event in
-      (* attribution shares of the disambiguation hot loops under the
-         selected backend, from one profiled pass (the gate for the
-         incremental-validation / CAM-view regression surface) *)
-      let arb_share, pqv_share =
-        let prof = Pv_obs.Prof.create () in
-        ignore (Pipeline.simulate ~prof compiled dis);
-        let tot = float_of_int (max (Pv_obs.Prof.total prof) 1) in
-        let ph = Pv_obs.Prof.phase_totals prof in
-        ( float_of_int ph.(Pv_obs.Prof.phase_arbiter_scan) /. tot,
-          float_of_int ph.(Pv_obs.Prof.phase_pq_validate) /. tot )
-      in
-      let kernel_time_ratios = ref [] in
-      let cells =
-        List.mapi
-          (fun j regime ->
-            let bname = Pv_core.Scheme.to_string regime in
-            let (scan, scan_t), (event, event_t) =
-              measure_pair compiled regime
-            in
-            let epc (r : Pipeline.result) =
-              float_of_int r.Pipeline.run_stats.Sim.evals
-              /. float_of_int (max r.Pipeline.cycles 1)
-            in
-            let side (r : Pipeline.result) dt =
-              Printf.sprintf
-                "{ \"cycles\": %d, \"time_s\": %.6f, \"cycles_per_s\": %.0f, \
-                 \"evals\": %d, \"evals_per_cycle\": %.3f }"
-                r.Pipeline.cycles dt
-                (float_of_int r.Pipeline.cycles /. max dt epsilon_float)
-                r.Pipeline.run_stats.Sim.evals (epc r)
-            in
-            let equivalent =
-              scan.Pipeline.cycles = event.Pipeline.cycles
-              && scan.Pipeline.run_stats.Sim.node_fires
-                 = event.Pipeline.run_stats.Sim.node_fires
-              && scan.Pipeline.mem = event.Pipeline.mem
-            in
-            let eval_ratio =
-              float_of_int event.Pipeline.run_stats.Sim.evals
-              /. float_of_int (max scan.Pipeline.run_stats.Sim.evals 1)
-            in
-            let time_ratio = event_t /. max scan_t epsilon_float in
-            eval_ratios := eval_ratio :: !eval_ratios;
-            time_ratios := time_ratio :: !time_ratios;
-            kernel_time_ratios := time_ratio :: !kernel_time_ratios;
-            (List.assoc bname time_ratios_by_backend)
-            := time_ratio :: !(List.assoc bname time_ratios_by_backend);
-            Printf.printf
-              "%-14s %-10s | %10d %9.4f | %10d %9.4f | %6.3f %6.3f %5b\n"
-              (if j = 0 then name else "") bname
-              scan.Pipeline.run_stats.Sim.evals scan_t
-              event.Pipeline.run_stats.Sim.evals event_t eval_ratio time_ratio
-              equivalent;
-            Printf.sprintf
-              "        { \"backend\": %S,\n\
-              \          \"scan\": %s,\n\
-              \          \"event\": %s,\n\
-              \          \"equivalent\": %b,\n\
-              \          \"event_eval_ratio\": %.4f,\n\
-              \          \"event_time_ratio\": %.4f }%s"
-              bname (side scan scan_t) (side event event_t) equivalent
-              eval_ratio time_ratio
-              (if j = n_regimes - 1 then "" else ","))
-          regimes
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": %S,\n\
-           \      \"allocs_per_cycle\": { \"scan\": %.4f, \"event\": %.4f },\n\
-           \      \"arbiter_scan_share\": %.4f,\n\
-           \      \"pq_validate_share\": %.4f,\n\
-           \      \"event_time_ratio\": %.4f,\n\
-           \      \"regimes\": [\n%s\n      ] }%s\n"
-           name alloc_scan alloc_event arb_share pqv_share
-           (Experiment.geomean !kernel_time_ratios)
-           (String.concat "\n" cells)
-           (if i = n_kernels - 1 then "" else ",")))
-    kernels;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"geomean_event_eval_ratio\": %.4f,\n"
-       (Experiment.geomean !eval_ratios));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"geomean_event_time_ratio\": %.4f,\n"
-       (Experiment.geomean !time_ratios));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"geomean_event_time_ratio_by_backend\": { %s },\n"
-       (String.concat ", "
-          (List.map
-             (fun (bname, rs) ->
-               Printf.sprintf "%S: %.4f" bname (Experiment.geomean !rs))
-             time_ratios_by_backend)));
+  let kernel_json kernel =
+    let name = kernel.Pv_kernels.Ast.name in
+    let compiled = Pipeline.compile kernel in
+    let alloc_scan = allocs_per_cycle compiled Sim.Scan in
+    let alloc_event = allocs_per_cycle compiled Sim.Event in
+    (* attribution shares of the disambiguation hot loops under the
+       selected backend, from one profiled pass (the gate for the
+       incremental-validation / CAM-view regression surface) *)
+    let arb_share, pqv_share =
+      let prof = Pv_obs.Prof.create () in
+      ignore (Pipeline.simulate ~prof compiled dis);
+      let tot = float_of_int (max (Pv_obs.Prof.total prof) 1) in
+      let ph = Pv_obs.Prof.phase_totals prof in
+      ( float_of_int ph.(Pv_obs.Prof.phase_arbiter_scan) /. tot,
+        float_of_int ph.(Pv_obs.Prof.phase_pq_validate) /. tot )
+    in
+    let kernel_time_ratios = ref [] in
+    let cells =
+      List.mapi
+        (fun j regime ->
+          let bname = Pv_core.Scheme.to_string regime in
+          let (scan, scan_t), (event, event_t) =
+            measure_pair compiled regime
+          in
+          let side (r : Pipeline.result) dt =
+            let cycles = r.Pipeline.cycles in
+            let evals = r.Pipeline.run_stats.Sim.evals in
+            Json.Obj
+              [
+                ("cycles", Json.Int cycles);
+                ("time_s", Json.fixed 6 dt);
+                ( "cycles_per_s",
+                  Json.fixed 0 (float_of_int cycles /. max dt epsilon_float) );
+                ("evals", Json.Int evals);
+                ( "evals_per_cycle",
+                  Json.fixed 3
+                    (float_of_int evals /. float_of_int (max cycles 1)) );
+              ]
+          in
+          let equivalent =
+            scan.Pipeline.cycles = event.Pipeline.cycles
+            && scan.Pipeline.run_stats.Sim.node_fires
+               = event.Pipeline.run_stats.Sim.node_fires
+            && scan.Pipeline.mem = event.Pipeline.mem
+          in
+          let eval_ratio =
+            float_of_int event.Pipeline.run_stats.Sim.evals
+            /. float_of_int (max scan.Pipeline.run_stats.Sim.evals 1)
+          in
+          let time_ratio = event_t /. max scan_t epsilon_float in
+          eval_ratios := eval_ratio :: !eval_ratios;
+          time_ratios := time_ratio :: !time_ratios;
+          kernel_time_ratios := time_ratio :: !kernel_time_ratios;
+          (List.assoc bname time_ratios_by_backend)
+          := time_ratio :: !(List.assoc bname time_ratios_by_backend);
+          Printf.printf
+            "%-14s %-10s | %10d %9.4f | %10d %9.4f | %6.3f %6.3f %5b\n"
+            (if j = 0 then name else "") bname
+            scan.Pipeline.run_stats.Sim.evals scan_t
+            event.Pipeline.run_stats.Sim.evals event_t eval_ratio time_ratio
+            equivalent;
+          Json.Obj
+            [
+              ("backend", Json.Str bname);
+              ("scan", side scan scan_t);
+              ("event", side event event_t);
+              ("equivalent", Json.Bool equivalent);
+              ("event_eval_ratio", Json.fixed 4 eval_ratio);
+              ("event_time_ratio", Json.fixed 4 time_ratio);
+            ])
+        regimes
+    in
+    Json.Obj
+      [
+        ("kernel", Json.Str name);
+        ( "allocs_per_cycle",
+          Json.Obj
+            [
+              ("scan", Json.fixed 4 alloc_scan);
+              ("event", Json.fixed 4 alloc_event);
+            ] );
+        ("arbiter_scan_share", Json.fixed 4 arb_share);
+        ("pq_validate_share", Json.fixed 4 pqv_share);
+        ( "event_time_ratio",
+          Json.fixed 4 (Experiment.geomean !kernel_time_ratios) );
+        ("regimes", Json.List cells);
+      ]
+  in
+  let kernels = List.map kernel_json (Pv_kernels.Defs.paper_benchmarks ()) in
   (* bound curves: every registered scheme on every paper kernel, with the
      differential harness's agreement and ordering verdicts — the data
      behind the oracle/serial bracketing of Table II *)
@@ -841,62 +828,69 @@ let bench_json ~path ~jobs ~cache ~backend () =
     List.map (fun k -> Differential.run k) (Pv_kernels.Defs.paper_benchmarks ())
   in
   List.iter (fun r -> Format.printf "%a@." Differential.pp r) reports;
-  let n_reports = List.length reports in
-  Buffer.add_string buf "  \"bounds\": [\n";
-  List.iteri
-    (fun i (r : Differential.report) ->
-      let schemes =
-        String.concat ", "
-          (List.map
-             (fun (row : Differential.row) ->
-               Printf.sprintf
-                 "{ \"scheme\": %S, \"cycles\": %d, \"finished\": %b, \
-                  \"verified\": %b }"
-                 row.Differential.scheme row.Differential.cycles
-                 row.Differential.finished row.Differential.verified)
-             r.Differential.rows)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": %S, \"agree\": %b, \"ordering_ok\": %b, \
-            \"schemes\": [ %s ] }%s\n"
-           r.Differential.kernel r.Differential.agree
-           r.Differential.ordering_ok schemes
-           (if i = n_reports - 1 then "" else ",")))
-    reports;
-  Buffer.add_string buf "  ],\n";
-  (* the full Table I/II grid: serial vs parallel wall clock (both
-     cache-cold so the comparison is compute vs compute), then a cached
-     pass whose hit count a second invocation raises to the full grid *)
+  let bound_json (r : Differential.report) =
+    let row (row : Differential.row) =
+      Json.Obj
+        [
+          ("scheme", Json.Str row.Differential.scheme);
+          ("cycles", Json.Int row.Differential.cycles);
+          ("finished", Json.Bool row.Differential.finished);
+          ("verified", Json.Bool row.Differential.verified);
+        ]
+    in
+    Json.Obj
+      [
+        ("kernel", Json.Str r.Differential.kernel);
+        ("agree", Json.Bool r.Differential.agree);
+        ("ordering_ok", Json.Bool r.Differential.ordering_ok);
+        ("schemes", Json.List (List.map row r.Differential.rows));
+      ]
+  in
+  (* the full Table I/II grid: serial vs parallel wall clock, both
+     cache-cold so the comparison is compute vs compute.  Three passes of
+     each side, interleaved so both sample the same host state, and the
+     best of each — one cold 20-cell grid per side is too short to time
+     alone (the same best-of technique as [measure_pair]).  Then a cached
+     pass whose hit count a second invocation raises to the full grid. *)
   header "table1+table2 grid: serial vs parallel wall clock";
-  let t0 = now_s () in
-  let serial_grid = Experiment.paper_grid () in
-  let wall_serial = now_s () -. t0 in
-  let t0 = now_s () in
-  let parallel_grid = Experiment.paper_grid ~jobs () in
-  let wall_parallel = now_s () -. t0 in
-  let identical = serial_grid = parallel_grid in
+  let timed f =
+    let t0 = now_s () in
+    let r = f () in
+    (r, now_s () -. t0)
+  in
+  let serial_grid = ref [] and identical = ref true in
+  let wall_serial = ref infinity and wall_parallel = ref infinity in
+  for _ = 1 to 3 do
+    let s, dt = timed (fun () -> Experiment.paper_grid ()) in
+    serial_grid := s;
+    wall_serial := Float.min !wall_serial dt;
+    let p, dt = timed (fun () -> Experiment.paper_grid ~jobs ()) in
+    identical := !identical && p = s;
+    wall_parallel := Float.min !wall_parallel dt
+  done;
+  let serial_grid = !serial_grid and identical = !identical in
+  let wall_serial = !wall_serial and wall_parallel = !wall_parallel in
+  let speedup = wall_serial /. max wall_parallel epsilon_float in
   let n_points = List.length (List.concat serial_grid) in
   let cached_wall, hits, misses, cache_consistent =
     match cache with
     | None -> (0.0, 0, 0, true)
     | Some cache ->
         Parallel.Cache.reset_stats cache;
-        let t0 = now_s () in
-        let cached_grid = Experiment.paper_grid ~cache ~jobs () in
-        ( now_s () -. t0,
+        let cached_grid, dt =
+          timed (fun () -> Experiment.paper_grid ~cache ~jobs ())
+        in
+        ( dt,
           Parallel.Cache.hits cache,
           Parallel.Cache.misses cache,
           cached_grid = serial_grid )
   in
   Printf.printf
     "%d points: serial %.3fs, parallel (%d jobs requested, %d effective) \
-     %.3fs, speedup %.2fx, identical %b\n"
+     %.3fs, speedup %.2fx, identical %b (best of 3 interleaved cold passes)\n"
     n_points wall_serial jobs
     (Parallel.effective_jobs jobs)
-    wall_parallel
-    (wall_serial /. max wall_parallel epsilon_float)
-    identical;
+    wall_parallel speedup identical;
   (* an explicit request within [1, max_jobs] must be honoured exactly;
      silent divergence is the clamp bug this harness exists to catch *)
   let jobs_diverged =
@@ -912,39 +906,62 @@ let bench_json ~path ~jobs ~cache ~backend () =
       cached_wall hits misses cache_consistent;
   (* per-cell metric snapshots: deterministic (engine- and jobs-invariant),
      so CI can diff this section across runs and machines *)
-  let flat = List.concat serial_grid in
-  let n_flat = List.length flat in
-  Buffer.add_string buf "  \"grid_cells\": [\n";
-  List.iteri
-    (fun i (p : Experiment.point) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": %S, \"config\": %S, \"metrics\": %s }%s\n"
-           p.Experiment.kernel p.Experiment.config
-           (Pv_obs.Json.to_string
-              (Pv_obs.Metrics.snapshot_to_json p.Experiment.metrics))
-           (if i = n_flat - 1 then "" else ",")))
-    flat;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"grid\": { \"points\": %d, \"jobs\": %d, \"jobs_requested\": %d, \
-        \"jobs_effective\": %d, \
-        \"wall_s_serial\": %.6f, \"wall_s_parallel\": %.6f, \
-        \"parallel_speedup\": %.3f, \"identical_to_serial\": %b, \
-        \"cache_hits\": %d, \"cache_misses\": %d, \"cache_consistent\": %b, \
-        \"wall_s_cached\": %.6f },\n"
-       n_points jobs jobs
-       (Parallel.effective_jobs jobs)
-       wall_serial wall_parallel
-       (wall_serial /. max wall_parallel epsilon_float)
-       identical hits misses cache_consistent cached_wall);
+  let cell_json (p : Experiment.point) =
+    Json.Obj
+      [
+        ("kernel", Json.Str p.Experiment.kernel);
+        ("config", Json.Str p.Experiment.config);
+        ("metrics", Pv_obs.Metrics.snapshot_to_json p.Experiment.metrics);
+      ]
+  in
+  let grid =
+    Json.Obj
+      [
+        ("points", Json.Int n_points);
+        ("jobs", Json.Int jobs);
+        ("jobs_requested", Json.Int jobs);
+        ("jobs_effective", Json.Int (Parallel.effective_jobs jobs));
+        ("wall_s_serial", Json.fixed 6 wall_serial);
+        ("wall_s_parallel", Json.fixed 6 wall_parallel);
+        ("parallel_speedup", Json.fixed 3 speedup);
+        ("identical_to_serial", Json.Bool identical);
+        ("cache_hits", Json.Int hits);
+        ("cache_misses", Json.Int misses);
+        ("cache_consistent", Json.Bool cache_consistent);
+        ("wall_s_cached", Json.fixed 6 cached_wall);
+      ]
+  in
   let soak_json, soak_ok = soak ~jobs ~n:10_000 () in
-  Buffer.add_string buf (Printf.sprintf "  \"soak\": %s\n" soak_json);
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  let geomean rs = Json.fixed 4 (Experiment.geomean rs) in
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.Str Pv_bench.Baseline.schema);
+        ("backend", Json.Str (Pv_core.Scheme.to_string dis));
+        ( "regime_backends",
+          Json.List
+            (List.map (fun d -> Json.Str (Pv_core.Scheme.to_string d)) regimes)
+        );
+        ( "default_engine",
+          Json.Str (Sim.string_of_engine Sim.default_config.Sim.engine) );
+        ("jobs", Json.Int jobs);
+        ("kernels", Json.List kernels);
+        ("geomean_event_eval_ratio", geomean !eval_ratios);
+        ("geomean_event_time_ratio", geomean !time_ratios);
+        ( "geomean_event_time_ratio_by_backend",
+          Json.Obj
+            (List.map
+               (fun (bname, rs) -> (bname, geomean !rs))
+               time_ratios_by_backend) );
+        ("bounds", Json.List (List.map bound_json reports));
+        ( "grid_cells",
+          Json.List (List.map cell_json (List.concat serial_grid)) );
+        ("grid", grid);
+        ("soak", soak_json);
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (Json.to_string_pretty doc));
   Printf.printf "geomean eval ratio %.3f, geomean time ratio %.3f -> wrote %s\n"
     (Experiment.geomean !eval_ratios)
     (Experiment.geomean !time_ratios)
@@ -956,8 +973,30 @@ let bench_json ~path ~jobs ~cache ~backend () =
 let usage () =
   prerr_endline
     "usage: main.exe [--jobs N] [--cache|--no-cache] [--backend NAME] \
-     [--json [PATH]] [SECTION...]";
+     [--json [PATH]] [SECTION...]\n\
+    \       main.exe --jobs N --check BASELINE [FRESH]";
   exit 2
+
+(* --check: gate a fresh BENCH_sim.json against the committed baseline
+   (Pv_bench.Baseline); exit 1 naming every failed gate, 2 on a file that
+   cannot be read or parsed *)
+let check ~jobs ~baseline ~fresh =
+  let load path =
+    match Pv_bench.Baseline.load path with
+    | Ok j -> j
+    | Error e ->
+        prerr_endline e;
+        exit 2
+  in
+  match
+    Pv_bench.Baseline.check ~jobs ~committed:(load baseline) ~fresh:(load fresh)
+  with
+  | Ok summary -> print_endline summary
+  | Error failures ->
+      List.iter
+        (fun f -> prerr_endline ("bench baseline check FAILED: " ^ f))
+        failures;
+      exit 1
 
 let () =
   (* hand-rolled flag parsing: sections and flags may be interleaved *)
@@ -966,6 +1005,7 @@ let () =
   in
   let jobs = ref 1 in
   let json = ref None in
+  let check_files = ref None in
   let cache_flag = ref None in
   let backend = ref (Pipeline.prevv 16) in
   let sections = ref [] in
@@ -1000,6 +1040,13 @@ let () =
     | "--json" :: rest ->
         json := Some "BENCH_sim.json";
         parse rest
+    | "--check" :: b :: f :: rest when String.length f > 0 && f.[0] <> '-' ->
+        check_files := Some (b, f);
+        parse rest
+    | "--check" :: b :: rest ->
+        check_files := Some (b, "BENCH_sim.json");
+        parse rest
+    | [ "--check" ] -> usage ()
     | s :: _ when String.length s > 0 && s.[0] = '-' ->
         Printf.eprintf "unknown flag %S\n" s;
         usage ()
@@ -1009,6 +1056,11 @@ let () =
   in
   parse args;
   let jobs = !jobs in
+  Option.iter
+    (fun (baseline, fresh) ->
+      check ~jobs ~baseline ~fresh;
+      exit 0)
+    !check_files;
   (* the result cache defaults on for --json (so a second invocation
      reports hits) and off for tables (so CI's serial-vs-parallel diff
      compares real computations) *)

@@ -437,22 +437,19 @@ let sweep_cmd =
     in
     let m = if metrics then Some (Pv_obs.Metrics.create ()) else None in
     let results, _stats = Experiment.sweep ?cache ?metrics:m ~jobs cells in
-    if json then (
-      print_string "[\n";
-      let n = List.length cells in
-      List.iteri
-        (fun i ((kernel, dis), result) ->
-          let body =
-            match result with
-            | Ok p -> Experiment.point_to_json p
-            | Error e ->
-                Printf.sprintf "{ \"kernel\": %S, \"config\": %S, \"error\": %S }"
-                  kernel.Pv_kernels.Ast.name (Pipeline.name_of dis)
-                  e.Supervisor.last_error
-          in
-          Printf.printf "  %s%s\n" body (if i = n - 1 then "" else ","))
-        (List.combine cells results);
-      print_string "]\n")
+    if json then
+      let module J = Pv_obs.Json in
+      let cell (kernel, dis) = function
+        | Ok p -> Experiment.point_json p
+        | Error e ->
+            J.Obj
+              [
+                ("kernel", J.Str kernel.Pv_kernels.Ast.name);
+                ("config", J.Str (Pipeline.name_of dis));
+                ("error", J.Str e.Supervisor.last_error);
+              ]
+      in
+      print_string (J.to_string_pretty (J.List (List.map2 cell cells results)))
     else (
       Printf.printf "%-14s %-12s %8s %8s %8s %8s %10s\n" "kernel" "scheme"
         "LUT" "FF" "CP(ns)" "cycles" "exec(us)";
@@ -672,10 +669,11 @@ let vcd_cmd =
     let path =
       match output with Some p -> p | None -> kernel.Pv_kernels.Ast.name ^ ".vcd"
     in
-    let cfg = { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.engine } in
+    let cfg =
+      { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.engine; max_cycles }
+    in
     let outcome =
-      Pv_dataflow.Vcd.record ~cfg ~max_cycles ~path compiled.Pipeline.graph
-        backend
+      Pv_dataflow.Vcd.record ~cfg ~path compiled.Pipeline.graph backend
     in
     Format.printf "wrote %s (%a)@." path Pv_dataflow.Sim.pp_outcome outcome
   in

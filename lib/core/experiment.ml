@@ -197,22 +197,26 @@ let paper_grid ?sim_cfg ?cache ?(jobs = 1) () : point list list =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Deterministic JSON rendering of a point (no timing fields beyond the
-    modelled [exec_us], which is a pure function of cycles and CP): the
-    byte-identity surface for the parallel-vs-serial determinism harness
-    and the bench/CLI JSON outputs. *)
-let point_to_json (p : point) : string =
+let point_json (p : point) =
+  let module J = Pv_obs.Json in
   let r = p.report in
-  Printf.sprintf
-    "{ \"kernel\": %S, \"config\": %S, \"cycles\": %d, \"luts\": %d, \
-     \"ffs\": %d, \"cp_ns\": %.4f, \"exec_us\": %.4f, \"queue_luts\": %d, \
-     \"queue_ffs\": %d, \"squashes\": %d, \"stall_full\": %d, \
-     \"verified\": %b }"
-    p.kernel p.config p.cycles r.Pv_resource.Report.luts
-    r.Pv_resource.Report.ffs r.Pv_resource.Report.cp_ns p.exec_us
-    r.Pv_resource.Report.queue_luts r.Pv_resource.Report.queue_ffs
-    p.mem_stats.Pv_dataflow.Memif.squashes
-    p.mem_stats.Pv_dataflow.Memif.stall_full p.verified
+  J.Obj
+    [
+      ("kernel", J.Str p.kernel);
+      ("config", J.Str p.config);
+      ("cycles", J.Int p.cycles);
+      ("luts", J.Int r.Pv_resource.Report.luts);
+      ("ffs", J.Int r.Pv_resource.Report.ffs);
+      ("cp_ns", J.fixed 4 r.Pv_resource.Report.cp_ns);
+      ("exec_us", J.fixed 4 p.exec_us);
+      ("queue_luts", J.Int r.Pv_resource.Report.queue_luts);
+      ("queue_ffs", J.Int r.Pv_resource.Report.queue_ffs);
+      ("squashes", J.Int p.mem_stats.Pv_dataflow.Memif.squashes);
+      ("stall_full", J.Int p.mem_stats.Pv_dataflow.Memif.stall_full);
+      ("verified", J.Bool p.verified);
+    ]
+
+let point_to_json p = Pv_obs.Json.to_string (point_json p)
 
 let pct a b = 100.0 *. (float_of_int a /. float_of_int b -. 1.0)
 let pctf a b = 100.0 *. ((a /. b) -. 1.0)

@@ -95,8 +95,13 @@ val paper_grid :
   unit ->
   point list list
 
-(** Deterministic JSON rendering of a point — the byte-identity surface
-    of the parallel-vs-serial determinism harness. *)
+(** Deterministic JSON value of a point (no timing fields beyond the
+    modelled [exec_us]; [cp_ns] and [exec_us] at 4 decimals): the [result]
+    of a [prevv serve] response and a cell of [prevv sweep --json]. *)
+val point_json : point -> Pv_obs.Json.t
+
+(** [point_json] rendered compactly — the byte-identity surface of the
+    parallel-vs-serial determinism harness. *)
 val point_to_json : point -> string
 
 (** Percentage delta [100 * (a/b - 1)], integer and float versions. *)

@@ -112,24 +112,21 @@ let default_config =
 (* Responses (deterministic: no timing, no attempt counts)             *)
 (* ------------------------------------------------------------------ *)
 
-let json_str s = Json.to_string (Json.Str s)
+let response id status fields =
+  Json.to_string
+    (Json.Obj (("id", id) :: ("status", Json.Str status) :: fields))
 
-let ok_line id body =
-  Printf.sprintf "{ \"id\": %s, \"status\": \"ok\", \"result\": %s }"
-    (json_str id) body
+let ok_line id point = response (Json.Str id) "ok" [ ("result", point) ]
 
 let error_line id msg =
-  Printf.sprintf "{ \"id\": %s, \"status\": \"error\", \"error\": %s }"
-    (json_str id) (json_str msg)
+  response (Json.Str id) "error" [ ("error", Json.Str msg) ]
 
 let overloaded_line id ~retry_after_ms =
-  Printf.sprintf
-    "{ \"id\": %s, \"status\": \"overloaded\", \"retry_after_ms\": %d }"
-    (json_str id) retry_after_ms
+  response (Json.Str id) "overloaded"
+    [ ("retry_after_ms", Json.Int retry_after_ms) ]
 
 let bad_line msg =
-  Printf.sprintf "{ \"id\": null, \"status\": \"bad_request\", \"error\": %s }"
-    (json_str msg)
+  response Json.Null "bad_request" [ ("error", Json.Str msg) ]
 
 (* ------------------------------------------------------------------ *)
 (* Compute                                                             *)
@@ -174,7 +171,7 @@ let compute cfg ~token req =
     | Some c -> fst (Experiment.run_cached ~sim_cfg ~cache:c kernel dis)
     | None -> Experiment.run ~sim_cfg kernel dis
   in
-  Experiment.point_to_json point
+  Experiment.point_json point
 
 (* ------------------------------------------------------------------ *)
 (* Supervised request loop                                             *)

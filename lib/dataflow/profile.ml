@@ -30,20 +30,14 @@ let run ?(cfg = Sim.default_config) (g : Graph.t) (mem : Memif.t) : t =
   let held = Array.make (Graph.n_chans g) 0 in
   let outcome =
     let rec loop () =
-      if Sim.finished sim then Sim.Finished { cycles = Sim.cycle sim }
-      else if Sim.cycle sim >= cfg.Sim.max_cycles then
-        Sim.Timeout
-          { at_cycle = Sim.cycle sim; post_mortem = Sim.post_mortem sim }
-      else if Sim.cycle sim - Sim.last_progress sim > cfg.Sim.stall_limit then
-        Sim.Deadlock
-          { at_cycle = Sim.cycle sim; post_mortem = Sim.post_mortem sim }
-      else begin
-        Sim.step sim;
-        for cid = 0 to Array.length held - 1 do
-          if Sim.chan_occupied sim cid then held.(cid) <- held.(cid) + 1
-        done;
-        loop ()
-      end
+      match Sim.status sim with
+      | Some outcome -> outcome
+      | None ->
+          Sim.step sim;
+          for cid = 0 to Array.length held - 1 do
+            if Sim.chan_occupied sim cid then held.(cid) <- held.(cid) + 1
+          done;
+          loop ()
     in
     loop ()
   in

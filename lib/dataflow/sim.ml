@@ -1547,24 +1547,28 @@ let trace_outcome t outcome =
           pm.pm_stalled
   end
 
+let status t =
+  if finished t then Some (Finished { cycles = t.cycle })
+  else if t.cycle >= t.cfg.max_cycles then
+    Some (Timeout { at_cycle = t.cycle; post_mortem = post_mortem t })
+  else if t.cycle - t.last_progress > t.cfg.stall_limit then
+    Some (Deadlock { at_cycle = t.cycle; post_mortem = post_mortem t })
+  else None
+
 let run ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
     ?(prof = Pv_obs.Prof.null) (g : Graph.t) (mem : Memif.t) :
     outcome * run_stats =
   let t = create ~cfg ~trace ~prof g mem in
   let rec loop () =
-    if finished t then Finished { cycles = t.cycle }
-    else if t.cycle >= cfg.max_cycles then
-      Timeout { at_cycle = t.cycle; post_mortem = post_mortem t }
-    else if t.cycle - t.last_progress > cfg.stall_limit then
-      Deadlock { at_cycle = t.cycle; post_mortem = post_mortem t }
-    else begin
-      (* cooperative cancellation: polled every 64 cycles so a
-         deadline-checking token (a clock read) costs nothing measurable *)
-      if t.cycle land 63 = 0 && cfg.cancel () then
-        raise (Cancelled { at_cycle = t.cycle });
-      step t;
-      loop ()
-    end
+    match status t with
+    | Some outcome -> outcome
+    | None ->
+        (* cooperative cancellation: polled every 64 cycles so a
+           deadline-checking token (a clock read) costs nothing measurable *)
+        if t.cycle land 63 = 0 && cfg.cancel () then
+          raise (Cancelled { at_cycle = t.cycle });
+        step t;
+        loop ()
   in
   let outcome = loop () in
   trace_outcome t outcome;
@@ -1584,7 +1588,6 @@ let run ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
 
 let graph t = t.g
 let cycle t = t.cycle
-let last_progress t = t.last_progress
 let epoch t = t.epoch
 let evals t = t.evals
 let fires t = t.fires

@@ -164,6 +164,14 @@ val fault_log : t -> Fault.application list
     deadlock/timeout.  No-op on a disabled trace; [run] calls it itself. *)
 val trace_outcome : t -> outcome -> unit
 
+(** The verdict of a stepped simulation, under the [max_cycles] and
+    [stall_limit] of the config it was created with: [Some] outcome once it
+    has finished, reached [max_cycles] (timeout) or gone more than
+    [stall_limit] cycles without a token moving (deadlock); [None] while
+    it should keep stepping.  {!run} and every tool that steps a
+    simulation by hand stop on the same rule. *)
+val status : t -> outcome option
+
 (** Run to completion (or deadlock/timeout per [cfg]).  [prof] as in
     {!create}. *)
 val run :
@@ -178,9 +186,6 @@ val run :
 
 val graph : t -> Graph.t
 val cycle : t -> int
-
-(** Cycle of the last token movement. *)
-val last_progress : t -> int
 
 (** Squash epoch (number of squashes seen so far). *)
 val epoch : t -> int

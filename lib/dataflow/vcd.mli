@@ -18,10 +18,10 @@ val create : out_channel -> Sim.t -> t
 val sample : t -> unit
 
 (** Run a simulation to completion while writing a VCD to [path]; returns
-    the outcome.  [max_cycles] bounds the dump size. *)
+    the outcome.  The config's [max_cycles] bounds the dump size (the
+    [prevv vcd] command sets it to 5,000 by default). *)
 val record :
   ?cfg:Sim.config ->
-  ?max_cycles:int ->
   path:string ->
   Graph.t ->
   Memif.t ->

@@ -31,7 +31,9 @@ let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.12g" f
 
-let rec to_buffer buf = function
+(* [spaced] puts a space after each ',' and ':' — the one-line fragments
+   of the pretty printer; the compact form has none *)
+let rec write ~spaced buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
@@ -41,25 +43,65 @@ let rec to_buffer buf = function
     Buffer.add_char buf '[';
     List.iteri
       (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        to_buffer buf x)
+        if i > 0 then Buffer.add_string buf (if spaced then ", " else ",");
+        write ~spaced buf x)
       xs;
     Buffer.add_char buf ']'
   | Obj fields ->
     Buffer.add_char buf '{';
     List.iteri
       (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
+        if i > 0 then Buffer.add_string buf (if spaced then ", " else ",");
         escape_to buf k;
-        Buffer.add_char buf ':';
-        to_buffer buf v)
+        Buffer.add_string buf (if spaced then ": " else ":");
+        write ~spaced buf v)
       fields;
     Buffer.add_char buf '}'
+
+let to_buffer buf j = write ~spaced:false buf j
 
 let to_string j =
   let buf = Buffer.create 256 in
   to_buffer buf j;
   Buffer.contents buf
+
+(* a container whose compact form would run past column 100 is broken into
+   one member per line, indented two spaces per level; anything that fits
+   stays on one line *)
+let to_string_pretty j =
+  let buf = Buffer.create 4096 in
+  let rec go ~col ~indent j =
+    let flat = Buffer.create 64 in
+    write ~spaced:true flat j;
+    let members =
+      match j with
+      | List xs -> Some ('[', ']', List.map (fun x -> ("", x)) xs)
+      | Obj fs ->
+        Some ('{', '}', List.map (fun (k, v) -> (to_string (Str k) ^ ": ", v)) fs)
+      | _ -> None
+    in
+    match members with
+    | Some (opening, closing, (_ :: _ as members))
+      when col + Buffer.length flat > 100 ->
+      let pad = indent + 2 in
+      Buffer.add_char buf opening;
+      List.iteri
+        (fun i (key, v) ->
+          Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+          Buffer.add_string buf (String.make pad ' ');
+          Buffer.add_string buf key;
+          go ~col:(pad + String.length key) ~indent:pad v)
+        members;
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make indent ' ');
+      Buffer.add_char buf closing
+    | _ -> Buffer.add_buffer buf flat
+  in
+  go ~col:0 ~indent:0 j;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+let fixed digits x = Float (float_of_string (Printf.sprintf "%.*f" digits x))
 
 (* ------------------------------------------------------------------ *)
 (* Parsing — recursive descent over a string with a mutable cursor     *)
@@ -252,4 +294,10 @@ let member name = function
 
 let to_list_opt = function List xs -> Some xs | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
+let to_float_opt = function
+  | Int i -> Some (float_of_int i)
+  | Float f -> Some f
+  | _ -> None
+
+let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None

@@ -582,8 +582,9 @@ let test_vcd_squash_marker () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       ignore
-        (Pv_dataflow.Vcd.record ~max_cycles:5_000 ~path
-           compiled.Pipeline.graph backend);
+        (Pv_dataflow.Vcd.record
+           ~cfg:{ Pv_dataflow.Sim.default_config with max_cycles = 5_000 }
+           ~path compiled.Pipeline.graph backend);
       let ic = open_in path in
       let body =
         Fun.protect
